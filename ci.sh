@@ -7,10 +7,32 @@
 #   BENCH_truth.json    current per-algorithm ns/iter snapshot
 #   BENCH_scale.json    macrobench snapshot (sparse vs dense EM, peak RSS)
 #   BENCH_HISTORY.jsonl rolling bench history (regression-gate baseline)
+# PERFBENCH.txt holds one benchmark workload's output while it is checked
+# and is removed afterwards.
 set -euo pipefail
 
 cargo build --release --workspace
 cargo test -q --workspace
+
+# End-to-end benchmark correctness gate. --locked fails if a crate
+# dependency change would rewrite perfbench/Cargo.lock. Each workload runs
+# one untimed pass (--seconds 0) and must reproduce perfbench/expected.tsv:
+# the last line says "correct":true and no CHECK FAILED line is printed.
+# Output goes through a file, not a pipe, so an early grep exit cannot
+# SIGPIPE the benchmark.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+for w in label adaptive query; do
+  if ! cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload "$w" --seed 0 --seconds 0 --trace 0 > PERFBENCH.txt 2>&1 \
+    || ! grep -q '"correct":true' PERFBENCH.txt || grep -q 'CHECK FAILED' PERFBENCH.txt; then
+    cat PERFBENCH.txt
+    echo "perfbench $w: outcome does not match perfbench/expected.tsv"
+    exit 1
+  fi
+  echo "perfbench $w: correct"
+done
+rm -f PERFBENCH.txt
+
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace static analysis: per-file determinism & safety rules (DET/

@@ -41,11 +41,10 @@ fn inference_matrix() -> ResponseMatrix {
 /// recorder alone and under the same recorder plus a provenance scope,
 /// returning `(off_min_ns, on_min_ns)`.
 fn gate_pair(mut f: impl FnMut()) -> (u64, u64) {
-    let scope = Arc::new(prov::Provenance::default());
     let rec: Arc<dyn obs::Recorder> = Arc::new(obs::MemoryRecorder::new());
     // Warm both arms.
     obs::with_recorder(rec.clone(), &mut f);
-    prov::with_provenance(scope.clone(), || obs::with_recorder(rec.clone(), &mut f));
+    prov::with_provenance(|| obs::with_recorder(rec.clone(), &mut f));
     let mut off_min = u64::MAX;
     let mut on_min = u64::MAX;
     for _ in 0..GATE_SAMPLES {
@@ -53,7 +52,7 @@ fn gate_pair(mut f: impl FnMut()) -> (u64, u64) {
         obs::with_recorder(rec.clone(), &mut f);
         off_min = off_min.min(t0.elapsed().as_nanos() as u64);
         let t0 = Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
-        prov::with_provenance(scope.clone(), || obs::with_recorder(rec.clone(), &mut f));
+        prov::with_provenance(|| obs::with_recorder(rec.clone(), &mut f));
         on_min = on_min.min(t0.elapsed().as_nanos() as u64);
     }
     (off_min, on_min)
@@ -87,9 +86,8 @@ fn bench_dawid_skene(c: &mut Criterion) {
         });
     });
     group.bench_function("scope_on", |b| {
-        let scope = Arc::new(prov::Provenance::default());
         b.iter(|| {
-            prov::with_provenance(scope.clone(), || {
+            prov::with_provenance(|| {
                 obs::with_recorder(rec.clone(), || {
                     ds.infer(std::hint::black_box(&m)).unwrap()
                 })

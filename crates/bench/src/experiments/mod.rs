@@ -226,7 +226,7 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
                             // summary `prov.run` events always land (and
                             // feed the report), full per-task lineage only
                             // when the recorder captures detail (--log).
-                            prov::with_provenance(Arc::new(prov::Provenance::default()), || {
+                            prov::with_provenance(|| {
                                 obs::record(Event::new("exp.begin").str("id", e.id));
                                 let text = run_by_name(e.id).expect("registered id");
                                 // Flush the experiment's final metric state as

@@ -28,7 +28,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// The JSONL recorder reports detail, so full per-task lineage lands.
 fn capture(f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    prov::with_provenance(Arc::new(prov::Provenance::default()), || {
+    prov::with_provenance(|| {
         obs::with_recorder(rec.clone(), f);
     });
     rec.take_bytes()

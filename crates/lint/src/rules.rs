@@ -35,7 +35,7 @@ pub struct Finding {
     pub hint: &'static str,
     /// Rule-specific stable core of the finding — what it is about,
     /// independent of source line (e.g. `scores.iter` for DET001,
-    /// `held:core:record` for CONC003). Fingerprints hash this instead of
+    /// `held:state:helper` for CONC003). Fingerprints hash this instead of
     /// the line so baselines survive unrelated edits.
     pub key: String,
     /// Name of the enclosing function (engine-filled; empty at file scope).

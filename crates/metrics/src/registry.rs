@@ -16,7 +16,7 @@ use crate::primitives::{Clock, Counter, Gauge, Histogram};
 
 /// Platform-simulation metrics (`sim::platform`).
 pub struct PlatformMetrics {
-    /// Ask requests accepted into batch planning (or `ask_one` calls).
+    /// Ask requests accepted into batch planning.
     pub tasks_queued: Counter,
     /// Worker assignments planned (a task may be assigned several times).
     pub tasks_assigned: Counter,

@@ -35,19 +35,16 @@
 //! The sink mirrors the `crowdkit-obs` recorder / `crowdkit-metrics`
 //! registry pattern: a thread-local scope entered with
 //! [`with_provenance`], restored on unwind, nestable. When no scope is
-//! active on the calling thread, [`current`] costs one relaxed atomic
+//! active on the calling thread, [`enabled`] costs one relaxed atomic
 //! load and a branch — inference hot loops pay nothing. Capture is
 //! additionally gated on the obs recorder being enabled, since the events
 //! have nowhere else to go.
 //!
 //! ```
-//! use std::sync::Arc;
 //! use crowdkit_provenance as prov;
 //!
-//! assert!(prov::current().is_none());
-//! prov::with_provenance(Arc::new(prov::Provenance::default()), || {
-//!     assert!(prov::current().is_some());
-//! });
+//! assert!(!prov::enabled());
+//! prov::with_provenance(|| assert!(prov::enabled()));
 //! ```
 
 #![warn(missing_docs)]
@@ -60,80 +57,48 @@ pub mod spend;
 pub use lineage::RunLineage;
 pub use spend::SpendLedger;
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Provenance-capture configuration for one scope.
-#[derive(Debug, Clone)]
-pub struct Provenance {
-    /// Tasks whose posterior margin (top-1 minus top-2 probability) falls
-    /// strictly below this threshold count as *contested* in the
-    /// `prov.run` summary. `crowdtrace audit` applies its own (flaggable)
-    /// threshold at read time; this one only feeds the run roll-up.
-    pub contested_margin: f64,
-}
-
-impl Default for Provenance {
-    fn default() -> Self {
-        Self {
-            contested_margin: 0.1,
-        }
-    }
-}
 
 /// Count of provenance scopes alive process-wide. Zero means no thread
-/// can possibly capture, so [`current`] short-circuits on one relaxed
+/// can possibly capture, so [`enabled`] short-circuits on one relaxed
 /// load without touching the thread-local.
 static ACTIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static CURRENT: RefCell<Option<Arc<Provenance>>> = const { RefCell::new(None) };
+    /// Nesting depth of provenance scopes on this thread.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
-/// The provenance scope active on this thread, or `None` when lineage
-/// capture is off. Disabled cost: one relaxed load and a branch.
-pub fn current() -> Option<Arc<Provenance>> {
-    if ACTIVE_SCOPES.load(Ordering::Relaxed) == 0 {
-        return None;
-    }
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Whether any provenance scope is active on this thread.
+/// Whether a provenance scope is active on this thread. Disabled cost:
+/// one relaxed load and a branch.
 pub fn enabled() -> bool {
-    current().is_some()
+    ACTIVE_SCOPES.load(Ordering::Relaxed) != 0 && DEPTH.with(|d| d.get() > 0)
 }
 
-/// Restores the previous scope when dropped, so a panic inside
-/// [`with_provenance`] cannot leak the scope into later work.
-struct RestoreGuard {
-    previous: Option<Option<Arc<Provenance>>>,
-}
+/// Closes one scope when dropped, so a panic inside [`with_provenance`]
+/// cannot leak the scope into later work.
+struct ScopeGuard;
 
-impl Drop for RestoreGuard {
+impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        if let Some(previous) = self.previous.take() {
-            CURRENT.with(|c| *c.borrow_mut() = previous);
-            ACTIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
-        }
+        DEPTH.with(|d| d.set(d.get() - 1));
+        ACTIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Runs `f` with `p` as this thread's active provenance scope, restoring
-/// the previous scope afterwards (including on panic). Scopes nest.
+/// Runs `f` inside a provenance scope on this thread, closing it
+/// afterwards (including on panic). Scopes nest.
 ///
 /// The scope is per-thread, exactly like the obs recorder scope: work `f`
 /// hands to other threads captures nothing. Instrumented layers honour
 /// this by emitting lineage only from sequential, fixed-order code paths
 /// — that is what keeps `prov.*` streams byte-identical across thread
 /// counts.
-pub fn with_provenance<R>(p: Arc<Provenance>, f: impl FnOnce() -> R) -> R {
+pub fn with_provenance<R>(f: impl FnOnce() -> R) -> R {
     ACTIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
-    let previous = CURRENT.with(|c| c.borrow_mut().replace(p));
-    let _guard = RestoreGuard {
-        previous: Some(previous),
-    };
+    DEPTH.with(|d| d.set(d.get() + 1));
+    let _guard = ScopeGuard;
     f()
 }
 
@@ -151,60 +116,46 @@ mod tests {
 
     #[test]
     fn default_is_disabled() {
-        assert!(current().is_none());
         assert!(!enabled());
         assert!(!capture_detail());
     }
 
     #[test]
     fn with_provenance_scopes_and_restores() {
-        let p = Arc::new(Provenance::default());
-        with_provenance(p.clone(), || {
-            assert!(Arc::ptr_eq(&current().expect("scoped"), &p));
-        });
-        assert!(current().is_none());
+        with_provenance(|| assert!(enabled()));
+        assert!(!enabled());
     }
 
     #[test]
     fn scopes_nest() {
-        let outer = Arc::new(Provenance {
-            contested_margin: 0.25,
+        with_provenance(|| {
+            with_provenance(|| assert!(enabled()));
+            assert!(enabled(), "closing the inner scope keeps the outer one");
         });
-        let inner = Arc::new(Provenance {
-            contested_margin: 0.5,
-        });
-        with_provenance(outer.clone(), || {
-            with_provenance(inner.clone(), || {
-                assert_eq!(current().expect("scoped").contested_margin, 0.5);
-            });
-            assert_eq!(current().expect("scoped").contested_margin, 0.25);
-        });
-        assert!(current().is_none());
+        assert!(!enabled());
     }
 
     #[test]
     fn scope_restores_after_panic() {
-        let p = Arc::new(Provenance::default());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_provenance(p, || panic!("boom"));
-        }));
+        let result = std::panic::catch_unwind(|| {
+            with_provenance(|| panic!("boom"));
+        });
         assert!(result.is_err());
-        assert!(current().is_none(), "panic must not leak the scope");
+        assert!(!enabled(), "panic must not leak the scope");
     }
 
     #[test]
     fn scope_is_thread_local() {
-        let p = Arc::new(Provenance::default());
-        with_provenance(p, || {
-            let other = std::thread::spawn(current).join().expect("join");
-            assert!(other.is_none(), "other threads see no scope");
+        with_provenance(|| {
+            let other = std::thread::spawn(enabled).join().expect("join");
+            assert!(!other, "other threads see no scope");
         });
     }
 
     #[test]
     fn capture_detail_requires_a_detail_recorder() {
-        let p = Arc::new(Provenance::default());
-        with_provenance(p, || {
+        use std::sync::Arc;
+        with_provenance(|| {
             // Null recorder: scope alone is not enough.
             assert!(!capture_detail());
             let jsonl = Arc::new(crowdkit_obs::JsonlRecorder::in_memory());

@@ -16,6 +16,12 @@
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_obs::{self as obs, Event, Recorder};
 
+/// Tasks whose posterior margin (top-1 minus top-2 probability) falls
+/// strictly below this threshold count as *contested* in the `prov.run`
+/// summary. `crowdtrace audit` applies its own (flaggable) threshold at
+/// read time; this one only feeds the run roll-up.
+const CONTESTED_MARGIN: f64 = 0.1;
+
 /// One label flip: at iteration `iter` task `task` moved `from` → `to`.
 #[derive(Debug, Clone, Copy)]
 struct Flip {
@@ -35,7 +41,6 @@ struct Flip {
 pub struct RunLineage {
     algo: &'static str,
     k: usize,
-    contested_margin: f64,
     /// Current argmax label per task; the baseline is the initial
     /// posterior table (vote fractions for the EM kernels).
     labels: Vec<u32>,
@@ -86,14 +91,12 @@ impl RunLineage {
     /// provenance scope is active on this thread or the obs recorder is
     /// disabled; the disabled cost is one relaxed load and a branch.
     pub fn begin(algo: &'static str, posteriors: &[f64], k: usize) -> Option<Self> {
-        let cfg = crate::current()?;
-        if !obs::current().enabled() {
+        if !crate::enabled() || !obs::current().enabled() {
             return None;
         }
         Some(Self {
             algo,
             k,
-            contested_margin: cfg.contested_margin,
             labels: argmax_rows(posteriors, k),
             flips: Vec::new(),
         })
@@ -161,7 +164,7 @@ impl RunLineage {
         let mut contested = 0u64;
         let mut margin_sum = 0.0f64;
         for &m in &margins {
-            if m < self.contested_margin {
+            if m < CONTESTED_MARGIN {
                 contested += 1;
             }
             margin_sum += m;
@@ -182,7 +185,7 @@ impl RunLineage {
                 .u64("tasks", n_tasks as u64)
                 .u64("workers", matrix.num_workers() as u64)
                 .u64("contested", contested)
-                .f64("margin_thr", self.contested_margin)
+                .f64("margin_thr", CONTESTED_MARGIN)
                 .f64("margin_mean", margin_mean)
                 .u64("flips", self.flips.len() as u64),
         );
@@ -258,7 +261,6 @@ impl RunLineage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Provenance;
     use crowdkit_core::ids::{TaskId, WorkerId};
     use std::sync::Arc;
 
@@ -275,7 +277,7 @@ mod tests {
     #[test]
     fn begin_requires_scope_and_recorder() {
         assert!(RunLineage::begin("mv", &[0.5, 0.5], 2).is_none());
-        crate::with_provenance(Arc::new(Provenance::default()), || {
+        crate::with_provenance(|| {
             assert!(
                 RunLineage::begin("mv", &[0.5, 0.5], 2).is_none(),
                 "null recorder: still off"
@@ -302,7 +304,7 @@ mod tests {
     #[test]
     fn flips_and_events_round_trip() {
         let matrix = tiny_matrix();
-        crate::with_provenance(Arc::new(Provenance::default()), || {
+        crate::with_provenance(|| {
             let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
             obs::with_recorder(rec.clone(), || {
                 // Baseline: task0 -> 1, task1 -> 0.
@@ -336,7 +338,7 @@ mod tests {
     fn aggregating_recorder_gets_only_the_run_summary() {
         let matrix = tiny_matrix();
         let rec = Arc::new(obs::MemoryRecorder::new());
-        crate::with_provenance(Arc::new(Provenance::default()), || {
+        crate::with_provenance(|| {
             obs::with_recorder(rec.clone(), || {
                 let l = RunLineage::begin("mv", &[0.0, 1.0, 1.0, 0.0], 2).expect("on");
                 l.finish(&matrix, &[0.0, 1.0, 1.0, 0.0], None);

@@ -17,9 +17,8 @@
 //! * [`worker`] — per-worker answer-generation models.
 //! * [`population`] — building worker pools from mixes.
 //! * [`latency`] — latency distributions and the round/straggler simulator.
-//! * [`platform`] — the [`platform::SimulatedCrowd`] oracle.
-//! * [`exec`] — deterministic parallel execution: per-assignment seed
-//!   derivation and the worker pool that drains batches.
+//! * [`platform`] — the [`platform::SimulatedCrowd`] oracle and its batch
+//!   engine (per-assignment seed derivation, parallel execution).
 //! * [`dataset`] — synthetic ground-truth dataset generators for every
 //!   experiment family (labeling, entity resolution, ranking, open-world
 //!   collection, numeric estimation).
@@ -29,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod dataset;
-pub mod exec;
 pub mod latency;
 pub mod platform;
 pub mod population;

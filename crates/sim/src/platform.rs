@@ -16,19 +16,23 @@
 //!   is sharded across [`TASK_SHARDS`] mutexes keyed by task id;
 //! * the spend ledger is striped the same way and merged on read;
 //! * the budget sits behind a single mutex so debits are atomic;
-//! * the legacy sequential RNG and the simulated clock form the *core*
-//!   lock, which also serializes batch planning.
+//! * the simulated clock sits behind one mutex, held through batch
+//!   planning so that planning is serialized.
 //!
-//! [`CrowdOracle::ask`]/[`CrowdOracle::ask_batch`] run in two phases:
-//! a sequential *planning* phase (budget funded in request order, workers
-//! reserved, one independent RNG stream derived per assignment — see
-//! [`crate::exec`]) and an embarrassingly parallel *execution* phase that
+//! There is one ask engine, [`CrowdOracle::ask_batch`];
+//! [`CrowdOracle::ask`] is a one-request batch and
+//! [`CrowdOracle::ask_one`] a one-request, one-answer batch. A batch runs
+//! in two phases: a sequential *planning* phase (budget funded in request
+//! order, workers reserved, one independent RNG stream derived per
+//! `(task, attempt)`) and an embarrassingly parallel *execution* phase that
 //! computes answer values and latency draws on a crossbeam worker pool.
 //! All assignments in a batch start at the batch epoch, so their simulated
-//! latencies **overlap**: batch wall-clock is the makespan, not the sum —
-//! the dominant latency lever of crowd execution (HIT batching). Because
-//! every cross-assignment decision happens in the sequential phase, results
-//! are byte-identical at any thread count.
+//! latencies **overlap**: a batch advances the clock by its makespan, not
+//! the sum — the dominant latency lever of crowd execution (HIT batching)
+//! — and a one-request ask by its service time (plus any wait for a
+//! worker to come online). Because every cross-assignment decision
+//! happens in the sequential phase, results are byte-identical at any
+//! thread count.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,16 +42,15 @@ use crowdkit_core::ask::{AskOutcome, AskRequest};
 use crowdkit_core::budget::{Budget, CostLedger, CostModel};
 use crowdkit_core::error::{CrowdError, Result};
 use crowdkit_core::ids::{TaskId, WorkerId};
+use crowdkit_core::par::{default_threads, parallel_map};
 use crowdkit_core::task::Task;
 use crowdkit_core::traits::CrowdOracle;
 use crowdkit_metrics as metrics;
 use crowdkit_obs::{self as obs, Event};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::exec::{default_threads, derive_seed, parallel_map};
 use crate::latency::LatencyModel;
 use crate::population::Population;
 
@@ -56,6 +59,21 @@ pub const TASK_SHARDS: usize = 16;
 
 /// Salt distinguishing the worker-pick RNG stream from the answer stream.
 const PICK_STREAM_SALT: u64 = 0x517C_C1B7_2722_0A95;
+
+/// Derives an independent 64-bit RNG seed for one assignment from the
+/// platform seed, the task id, and the per-task attempt ordinal.
+///
+/// SplitMix64-style finalization: consecutive `(task, attempt)` pairs land
+/// far apart in seed space, so per-assignment `StdRng` streams are
+/// statistically independent even though they are planned sequentially.
+fn derive_seed(platform_seed: u64, task_raw: u64, attempt: u64) -> u64 {
+    let mut z = platform_seed
+        .wrapping_add(task_raw.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(attempt.wrapping_mul(0xD1B5_4A32_D192_ED03));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Builder for [`SimulatedCrowd`].
 #[derive(Debug, Clone)]
@@ -205,7 +223,6 @@ impl PlatformBuilder {
     /// recorded in the ledger under `"qualification"`; if the budget dies
     /// mid-screening, the remaining workers are rejected unscreened.
     pub fn build(self) -> SimulatedCrowd {
-        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut budget = self.budget;
         let mut ledger = CostLedger::new();
         let population = match self.qualification {
@@ -214,6 +231,7 @@ impl PlatformBuilder {
                 let screening = Task::binary(TaskId::new(u64::MAX), "qualification question")
                     .with_difficulty(q.difficulty)
                     .with_truth(crowdkit_core::answer::AnswerValue::Choice(1));
+                let mut rng = StdRng::seed_from_u64(self.seed);
                 let price = self.cost_model.price(&screening.kind);
                 let passed: Vec<_> = self
                     .population
@@ -250,7 +268,7 @@ impl PlatformBuilder {
             churn: self.churn,
             seed: self.seed,
             threads: self.threads,
-            core: Mutex::new(CoreState { rng, clock: 0.0 }),
+            clock: Mutex::new(0.0),
             budget: Mutex::new(budget),
             shards: (0..TASK_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             ledger_stripes,
@@ -269,14 +287,6 @@ struct TaskState {
     /// per-assignment RNG streams are derived from it, so streams never
     /// repeat across separate asks for the same task.
     attempts: u64,
-}
-
-/// Mutable state shared by the sequential path and batch planning: the
-/// legacy shared RNG stream and the simulated clock.
-#[derive(Debug)]
-struct CoreState {
-    rng: StdRng,
-    clock: f64,
 }
 
 /// One funded, reserved assignment awaiting parallel execution.
@@ -307,7 +317,8 @@ pub struct SimulatedCrowd {
     churn: Option<Churn>,
     seed: u64,
     threads: usize,
-    core: Mutex<CoreState>,
+    /// The simulated clock; held through batch planning.
+    clock: Mutex<f64>,
     budget: Mutex<Budget>,
     shards: Vec<Mutex<HashMap<TaskId, TaskState>>>,
     ledger_stripes: Vec<Mutex<CostLedger>>,
@@ -329,7 +340,7 @@ impl SimulatedCrowd {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        self.core.lock().clock
+        *self.clock.lock()
     }
 
     /// Width of the batch-execution worker pool.
@@ -358,49 +369,6 @@ impl SimulatedCrowd {
 
     fn ledger_stripe_for(&self, task: TaskId) -> &Mutex<CostLedger> {
         &self.ledger_stripes[task.raw() as usize % self.ledger_stripes.len()]
-    }
-
-    /// Sequential worker pick for [`CrowdOracle::ask_one`]: uniform over
-    /// eligible workers via the shared RNG, advancing the clock to the next
-    /// arrival when churn leaves nobody online. Caller holds the core lock.
-    fn pick_worker_sequential(&self, core: &mut CoreState, task: TaskId) -> Option<usize> {
-        let mut shard = self.shard_for(task).lock();
-        let asked = &shard.entry(task).or_default().asked;
-        let eligible: Vec<usize> = self
-            .population
-            .workers()
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| !asked.contains(&w.id))
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let Some(churn) = self.churn else {
-            return eligible.choose(&mut core.rng).copied();
-        };
-        let online: Vec<usize> = eligible
-            .iter()
-            .copied()
-            .filter(|&i| churn.online(self.population.get(i).id, self.seed, core.clock))
-            .collect();
-        if let Some(&i) = online.choose(&mut core.rng) {
-            return Some(i);
-        }
-        // Nobody online: wait for the earliest eligible arrival.
-        let (next_i, next_t) = eligible
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    churn.next_online(self.population.get(i).id, self.seed, core.clock),
-                )
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("eligible is non-empty"); // crowdkit-lint: allow(PANIC001) — empty `eligible` returned None earlier in this function
-        core.clock = next_t;
-        Some(next_i)
     }
 
     /// Batch worker pick: deterministic function of the derived pick
@@ -456,71 +424,15 @@ impl SimulatedCrowd {
 }
 
 impl CrowdOracle for SimulatedCrowd {
-    /// Legacy sequential path: one shared RNG stream, clock advanced by
-    /// each answer's full service time (no overlap). Kept for
-    /// single-answer call sites and as the baseline the batched path is
-    /// benchmarked against.
+    /// A one-request batch asking for one answer: the same engine, RNG
+    /// streams, clock rule and metrics as every other ask. Fails with the
+    /// outcome's shortfall when nothing was delivered.
     fn ask_one(&self, task: &Task) -> Result<Answer> {
-        let mut core_guard = self.core.lock();
-        let core = &mut *core_guard;
-        let price = self.cost_model.price(&task.kind);
-        {
-            let budget = self.budget.lock();
-            if !budget.can_afford(price) {
-                return Err(CrowdError::BudgetExhausted {
-                    requested: price,
-                    remaining: budget.remaining(),
-                });
-            }
+        let out = self.ask(&AskRequest::new(task))?;
+        match out.answers.into_iter().next() {
+            Some(answer) => Ok(answer),
+            None => Err(out.shortfall.unwrap_or(CrowdError::NoWorkerAvailable)),
         }
-        let widx = self
-            .pick_worker_sequential(core, task.id)
-            .ok_or(CrowdError::NoWorkerAvailable)?;
-        let worker = self.population.get(widx).clone();
-        self.budget.lock().debit(price)?;
-        self.ledger_stripe_for(task.id)
-            .lock()
-            .record(task.kind.name(), price);
-
-        let value = worker.answer(task, &mut core.rng);
-        let service = self.latency.sample(&mut core.rng);
-        core.clock += service;
-        self.shard_for(task.id)
-            .lock()
-            .entry(task.id)
-            .or_default()
-            .asked
-            .insert(worker.id);
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-
-        let m = metrics::current();
-        m.platform.tasks_queued.inc();
-        m.platform.tasks_assigned.inc();
-        m.platform.tasks_answered.inc();
-        m.platform.spend_micros.add(metrics::to_micros(price));
-
-        let rec = obs::current();
-        if rec.enabled() {
-            rec.sample("platform.latency", service);
-            rec.record(
-                Event::new("platform.ask")
-                    .at(core.clock)
-                    .u64("task", task.id.raw())
-                    .u64("worker", worker.id.raw())
-                    .u64("delivered", 1)
-                    .f64("spend", price)
-                    .f64("makespan", service)
-                    .f64("latency_sum", service),
-            );
-        }
-
-        Ok(Answer {
-            task: task.id,
-            worker: worker.id,
-            value,
-            submitted_at: core.clock,
-            cost: price,
-        })
     }
 
     fn ask(&self, req: &AskRequest<'_>) -> Result<AskOutcome> {
@@ -528,8 +440,8 @@ impl CrowdOracle for SimulatedCrowd {
         Ok(outcomes.pop().expect("one outcome per request")) // crowdkit-lint: allow(PANIC001) — ask_batch returns exactly one outcome per submitted request
     }
 
-    /// The batched engine. Planning (budget in request order, worker
-    /// reservation, RNG-stream derivation) is sequential under the core
+    /// The ask engine. Planning (budget in request order, worker
+    /// reservation, RNG-stream derivation) is sequential under the clock
     /// lock; answer computation fans out over the thread pool; all
     /// assignments share the batch epoch so their simulated latencies
     /// overlap and the clock advances by the batch *makespan*.
@@ -546,8 +458,8 @@ impl CrowdOracle for SimulatedCrowd {
 
         // ---- Phase 1: sequential planning ------------------------------
         let (plan, mut outcomes, epoch) = {
-            let core = self.core.lock();
-            let epoch = core.clock;
+            let clock = self.clock.lock();
+            let epoch = *clock;
             let mut budget = self.budget.lock();
             let mut plan: Vec<PlannedAsk> = Vec::new();
             let mut outcomes: Vec<AskOutcome> = reqs
@@ -640,8 +552,8 @@ impl CrowdOracle for SimulatedCrowd {
         }
         self.delivered.fetch_add(plan.len() as u64, Ordering::Relaxed);
         {
-            let mut core = self.core.lock();
-            core.clock = core.clock.max(makespan);
+            let mut clock = self.clock.lock();
+            *clock = clock.max(makespan);
         }
         let (mut budget_stopped, mut no_worker) = (0u64, 0u64);
         for o in &outcomes {
@@ -701,6 +613,21 @@ mod tests {
 
     fn perfect_pop(n: usize) -> Population {
         PopulationBuilder::new().reliable(n, 1.0, 1.0).build(0)
+    }
+
+    #[test]
+    fn derive_seed_separates_tasks_and_attempts() {
+        let a = derive_seed(7, 0, 0);
+        let b = derive_seed(7, 0, 1);
+        let c = derive_seed(7, 1, 0);
+        let d = derive_seed(8, 0, 0);
+        let all = [a, b, c, d];
+        for i in 0..all.len() {
+            for j in i + 1..all.len() {
+                assert_ne!(all[i], all[j], "seeds {i} and {j} collide");
+            }
+        }
+        assert_eq!(derive_seed(7, 0, 0), a, "derivation is pure");
     }
 
     #[test]
@@ -914,6 +841,58 @@ mod batch_tests {
         let out = crowd.ask(&AskRequest::new(&task).with_redundancy(3)).unwrap();
         assert_eq!(out.delivered(), 2, "only two workers left for this task");
         assert!(out.answers.iter().all(|a| a.worker != first.worker));
+    }
+
+    #[test]
+    fn ask_one_is_a_one_request_batch() {
+        let build = || {
+            PlatformBuilder::new(pop(3, 0.7))
+                .churn(Churn {
+                    duty_cycle: 0.05,
+                    period: 600.0,
+                })
+                .latency(LatencyModel::Constant { secs: 5.0 })
+                .budget(Budget::new(7.0))
+                .seed(17)
+                .build()
+        };
+        let (one, batch) = (build(), build());
+        let ts = tasks(3);
+        // The fourth ask of task 0 finds its three workers used up; tasks 1
+        // and 2 then run the seven-unit budget dry.
+        let mut waited = false;
+        let mut shortfalls = Vec::new();
+        for i in [0, 0, 0, 0, 1, 1, 1, 2, 2] {
+            let before = one.now();
+            let got = one.ask_one(&ts[i]);
+            let want = batch.ask(&AskRequest::new(&ts[i])).unwrap();
+            match (got, want.answers.as_slice()) {
+                (Ok(a), [b]) => {
+                    assert_eq!(
+                        (a.task, a.worker, &a.value, a.submitted_at),
+                        (b.task, b.worker, &b.value, b.submitted_at)
+                    );
+                    waited |= a.submitted_at > before + 5.0;
+                }
+                (Err(e), []) => {
+                    assert_eq!(Some(&e), want.shortfall.as_ref());
+                    shortfalls.push(e);
+                }
+                (got, _) => panic!("ask_one gave {got:?}, ask gave {want:?}"),
+            }
+            assert_eq!(one.now(), batch.now());
+        }
+        assert!(waited, "churn never made an ask wait for an arrival");
+        assert_eq!(
+            shortfalls,
+            [
+                CrowdError::NoWorkerAvailable,
+                CrowdError::BudgetExhausted {
+                    requested: 1.0,
+                    remaining: 0.0
+                }
+            ]
+        );
     }
 
     #[test]
