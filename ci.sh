@@ -107,14 +107,12 @@ grep -q 'most influential workers' AUDIT.txt
 grep -q 'spend/correct' AUDIT.txt
 rm -f WHY.txt AUDIT.txt
 
-# Telemetry overhead gates: instrumented hot paths must stay within 5% of
-# the null-recorder baseline for obs events, within 3% of the
-# disabled-flag baseline for always-on metrics, and within 5% of the
-# obs-alone baseline for decision-provenance capture (asserted inside the
-# bench binaries).
-cargo bench -p crowdkit-bench --bench obs_overhead
-cargo bench -p crowdkit-bench --bench metrics_overhead
-cargo bench -p crowdkit-bench --bench prov_overhead
+# Telemetry overhead gate: at one kernel thread, the median of 60
+# interleaved on/off pair ratios must stay under 5% for obs events
+# (a MemoryRecorder vs the default scope), under 3% for metrics (a
+# registry vs none) and under 5% for decision provenance (the provenance
+# bit on vs off under one recorder). Asserted inside the bench binary.
+cargo bench -p crowdkit-bench --bench telemetry_overhead
 
 # Machine-readable truth-inference timings (per-algorithm ns/iter); each
 # run also appends one line to BENCH_HISTORY.jsonl.

@@ -99,11 +99,13 @@ where
                 }
             }
         }
-        m.assign.waves.inc();
-        m.assign.wave_size.record(wave.len() as u64);
-        m.assign.questions.add((asked - asked_before) as u64);
-        if exhausted {
-            m.assign.exhausted.inc();
+        if let Some(m) = &m {
+            m.assign.waves.inc();
+            m.assign.wave_size.record(wave.len() as u64);
+            m.assign.questions.add((asked - asked_before) as u64);
+            if exhausted {
+                m.assign.exhausted.inc();
+            }
         }
         if rec.enabled() {
             rec.record(

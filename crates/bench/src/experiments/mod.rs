@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use crowdkit_metrics as metrics;
 use crowdkit_obs::{self as obs, Event, ExperimentReport, RunReport};
-use crowdkit_provenance as prov;
 
 use crate::table::Table;
 
@@ -205,37 +204,39 @@ pub fn run_with_report(ids: &[&str], capture_events: bool) -> Option<SuiteRun> {
             .map(|(i, e)| {
                 let shard = shards.shard(i);
                 scope.spawn(move || {
-                    // The recorder and metric-registry scopes are
-                    // thread-local, so both must be entered *inside* the
-                    // experiment's own thread. A per-experiment registry
-                    // keeps the concurrently running experiments from
-                    // polluting each other's counters — that independence
-                    // is what makes the metrics.snapshot events below
-                    // byte-identical across suite thread interleavings.
+                    // The obs and metric-registry scopes are thread-local,
+                    // so both must be entered *inside* the experiment's own
+                    // thread. A per-experiment registry keeps the
+                    // concurrently running experiments from polluting each
+                    // other's counters — that independence is what makes
+                    // the metrics.snapshot events below byte-identical
+                    // across suite thread interleavings.
                     let mem = Arc::new(obs::MemoryRecorder::new());
                     let rec: Arc<dyn obs::Recorder> = if capture_events {
                         Arc::new(obs::Tee(shard, mem.clone()))
                     } else {
                         mem.clone()
                     };
+                    // With provenance on, the summary `prov.run` events
+                    // always land (and feed the report), full per-task
+                    // lineage only when the recorder captures detail
+                    // (--log).
+                    let scope = obs::Scope {
+                        recorder: rec,
+                        provenance: true,
+                    };
                     let reg = Arc::new(metrics::Registry::new());
                     let start = std::time::Instant::now(); // crowdkit-lint: allow(DET002) — benchmark harness: measuring wall time is the point
-                    let text = obs::with_recorder(rec, || {
+                    let text = obs::with_scope(scope, || {
                         metrics::with_registry(reg.clone(), || {
-                            // Provenance is scoped like obs/metrics: the
-                            // summary `prov.run` events always land (and
-                            // feed the report), full per-task lineage only
-                            // when the recorder captures detail (--log).
-                            prov::with_provenance(|| {
-                                obs::record(Event::new("exp.begin").str("id", e.id));
-                                let text = run_by_name(e.id).expect("registered id");
-                                // Flush the experiment's final metric state as
-                                // one snapshot delta before the end marker, so
-                                // the events sit inside the exp span.
-                                metrics::SnapshotExporter::new().emit(&reg, None);
-                                obs::record(Event::new("exp.end").str("id", e.id));
-                                text
-                            })
+                            obs::record(Event::new("exp.begin").str("id", e.id));
+                            let text = run_by_name(e.id).expect("registered id");
+                            // Flush the experiment's final metric state as
+                            // one snapshot delta before the end marker, so
+                            // the events sit inside the exp span.
+                            metrics::SnapshotExporter::new().emit(&reg, None);
+                            obs::record(Event::new("exp.end").str("id", e.id));
+                            text
                         })
                     });
                     let wall_ms = start.elapsed().as_millis() as u64;

@@ -28,7 +28,11 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// in-memory recorder with wall-clock data omitted.
 fn capture(f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    obs::with_recorder(rec.clone(), f);
+    let scope = obs::Scope {
+        recorder: rec.clone(),
+        provenance: false,
+    };
+    obs::with_scope(scope, f);
     rec.take_bytes()
 }
 

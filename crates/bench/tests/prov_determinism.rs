@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use crowdkit_core::traits::TruthInferencer;
 use crowdkit_obs as obs;
-use crowdkit_provenance as prov;
 use crowdkit_sim::dataset::LabelingDataset;
 use crowdkit_sim::population::PopulationBuilder;
 use crowdkit_sim::SimulatedCrowd;
@@ -23,14 +22,17 @@ use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The deterministic JSONL bytes produced by running `f` under a fresh
-/// provenance scope and an in-memory recorder with wall data omitted.
-/// The JSONL recorder reports detail, so full per-task lineage lands.
-fn capture(f: impl FnOnce()) -> Vec<u8> {
+/// The deterministic JSONL bytes produced by running `f` under an
+/// in-memory recorder with wall data omitted and the given provenance
+/// bit. The JSONL recorder reports detail, so with provenance on full
+/// per-task lineage lands.
+fn capture(provenance: bool, f: impl FnOnce()) -> Vec<u8> {
     let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    prov::with_provenance(|| {
-        obs::with_recorder(rec.clone(), f);
-    });
+    let scope = obs::Scope {
+        recorder: rec.clone(),
+        provenance,
+    };
+    obs::with_scope(scope, f);
     rec.take_bytes()
 }
 
@@ -63,7 +65,7 @@ fn ds_prov_stream(
     threads: usize,
     freeze: FreezeConfig,
 ) -> Vec<u8> {
-    capture(|| {
+    capture(true, || {
         let ds = DawidSkene::with_config(EmConfig {
             threads,
             freeze,
@@ -74,7 +76,7 @@ fn ds_prov_stream(
 }
 
 fn glad_prov_stream(m: &crowdkit_core::response::ResponseMatrix, threads: usize) -> Vec<u8> {
-    capture(|| {
+    capture(true, || {
         let glad = Glad::with_config(GladConfig::default().with_threads(threads));
         glad.infer(m).expect("non-empty matrix");
     })
@@ -134,16 +136,15 @@ proptest! {
     }
 }
 
-/// Without a provenance scope no `prov.*` events land, even with a
-/// detail recorder active — the scope is the opt-in.
+/// With the provenance bit off no `prov.*` events land, even with a
+/// detail recorder active — the bit is the opt-in.
 #[test]
 fn no_scope_means_no_provenance_events() {
     let m = matrix(30, 7);
-    let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-    obs::with_recorder(rec.clone(), || {
+    let bytes = capture(false, || {
         DawidSkene::default().infer(&m).expect("non-empty matrix");
     });
-    let text = String::from_utf8(rec.take_bytes()).expect("utf8");
+    let text = String::from_utf8(bytes).expect("utf8");
     assert!(!text.contains("\"key\":\"prov."));
     assert!(text.contains("\"key\":\"truth.run\""), "obs itself still on");
 }

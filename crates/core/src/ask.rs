@@ -151,11 +151,6 @@ impl AskOutcome {
     pub fn stopped_by_budget(&self) -> bool {
         matches!(&self.shortfall, Some(CrowdError::BudgetExhausted { .. }))
     }
-
-    /// Consumes the outcome, yielding just the answers.
-    pub fn into_answers(self) -> Vec<Answer> {
-        self.answers
-    }
 }
 
 #[cfg(test)]

@@ -56,11 +56,6 @@ impl Term {
     pub fn var(name: impl Into<String>) -> Self {
         Term::Var(name.into())
     }
-
-    /// True if this term is a variable or wildcard.
-    pub fn is_free(&self) -> bool {
-        matches!(self, Term::Var(_) | Term::Wildcard)
-    }
 }
 
 impl fmt::Display for Term {

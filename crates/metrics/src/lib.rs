@@ -1,4 +1,4 @@
-//! # crowdkit-metrics — always-on runtime telemetry
+//! # crowdkit-metrics — scoped runtime telemetry
 //!
 //! Live operational state for the crowdkit stack: how many tasks are
 //! queued, how fast budget is burning, how big the EM active set is, how
@@ -7,7 +7,7 @@
 //! and backpressure. Where `crowdkit-obs` records *what happened* as a
 //! replayable event stream, this crate maintains *what is true right
 //! now*, cheaply enough to leave on inside the EM hot loops (the CI
-//! overhead gate pins instrumented-vs-disabled at <3%).
+//! overhead gate pins a registry scope against none at <3%).
 //!
 //! ## Architecture
 //!
@@ -23,21 +23,25 @@
 //!
 //! ## Scoping
 //!
-//! The active registry is thread-local and scoped, exactly like the obs
-//! recorder: [`current`] resolves this thread's registry (falling back to
-//! one process-wide default), and [`with_registry`] pins a fresh registry
-//! for a region of work. The experiment suite runs 17 experiments on
-//! concurrent threads; per-experiment scoped registries keep their
-//! counters independent, which is what makes `metrics.snapshot` streams
-//! byte-identical across thread counts.
+//! Metrics are on inside a registry scope and off outside one. The
+//! active registry is thread-local and scoped, like the obs scope:
+//! [`with_registry`] installs a registry for a region of work, and
+//! [`current`] returns it, or `None` when this thread has none — then
+//! the instrumented layers write nothing. The experiment suite runs 17
+//! experiments on concurrent threads; per-experiment scoped registries
+//! keep their counters independent, which is what makes
+//! `metrics.snapshot` streams byte-identical across thread counts.
 //!
 //! ```
 //! use std::sync::Arc;
 //! use crowdkit_metrics as metrics;
 //!
+//! assert!(metrics::current().is_none());
 //! let reg = Arc::new(metrics::Registry::new());
 //! metrics::with_registry(reg.clone(), || {
-//!     metrics::current().assign.questions.add(3);
+//!     if let Some(m) = metrics::current() {
+//!         m.assign.questions.add(3);
+//!     }
 //! });
 //! assert_eq!(reg.assign.questions.value(), 3);
 //! ```
@@ -51,8 +55,7 @@ pub mod registry;
 pub mod snapshot;
 
 pub use primitives::{
-    bucket_bound, bucket_of, enabled, set_enabled, Clock, Counter, Gauge, HistData, Histogram,
-    N_BUCKETS, N_SHARDS,
+    bucket_bound, bucket_of, Clock, Counter, Gauge, HistData, Histogram, N_BUCKETS, N_SHARDS,
 };
 pub use registry::{
     to_micros, AlgoMetrics, AssignMetrics, PlatformMetrics, Registry, SqlMetrics, TruthMetrics,
@@ -60,27 +63,19 @@ pub use registry::{
 pub use snapshot::{delta_events, MetricValue, Snapshot, SnapshotExporter, BUCKET_NAMES};
 
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
-
-fn global() -> &'static Arc<Registry> {
-    static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Arc::new(Registry::new()))
-}
+use std::sync::Arc;
 
 thread_local! {
     static CURRENT: RefCell<Option<Arc<Registry>>> = const { RefCell::new(None) };
 }
 
 /// The registry active on this thread: the innermost [`with_registry`]
-/// scope, or the process-wide default when unscoped.
+/// scope, or `None` outside every scope.
 ///
 /// Hot paths should call this once per operation (per batch, per EM run)
 /// and reuse the handle rather than re-resolving per item.
-pub fn current() -> Arc<Registry> {
-    CURRENT.with(|c| match &*c.borrow() {
-        Some(reg) => reg.clone(),
-        None => global().clone(),
-    })
+pub fn current() -> Option<Arc<Registry>> {
+    CURRENT.with(|c| c.borrow().clone())
 }
 
 /// Restores the previous scoped registry when dropped, so a panic inside
@@ -101,9 +96,9 @@ impl Drop for RestoreGuard {
 /// previous scope afterwards (including on panic). Scopes nest.
 ///
 /// The scope is per-thread: work `f` hands to other threads sees those
-/// threads' own registries (normally the process default). Instrumented
-/// layers honour this by updating metrics only from the calling thread's
-/// sequential code, the same rule the obs layer follows.
+/// threads' own registries (normally none). Instrumented layers honour
+/// this by updating metrics only from the calling thread's sequential
+/// code, the same rule the obs layer follows.
 pub fn with_registry<R>(reg: Arc<Registry>, f: impl FnOnce() -> R) -> R {
     let previous = CURRENT.with(|c| c.borrow_mut().replace(reg));
     let _guard = RestoreGuard {
@@ -116,21 +111,25 @@ pub fn with_registry<R>(reg: Arc<Registry>, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
 
+    fn is_current(reg: &Arc<Registry>) -> bool {
+        current().is_some_and(|c| Arc::ptr_eq(&c, reg))
+    }
+
     #[test]
-    fn unscoped_current_is_the_global_default() {
-        let a = current();
-        let b = current();
-        assert!(Arc::ptr_eq(&a, &b));
+    fn unscoped_current_is_none() {
+        assert!(current().is_none());
+        let other = std::thread::spawn(|| current().is_none());
+        assert!(other.join().unwrap(), "a fresh thread has no registry");
     }
 
     #[test]
     fn with_registry_scopes_and_restores() {
         let reg = Arc::new(Registry::new());
         with_registry(reg.clone(), || {
-            assert!(Arc::ptr_eq(&current(), &reg));
-            current().sql.queries.inc();
+            assert!(is_current(&reg));
+            current().expect("scoped").sql.queries.inc();
         });
-        assert!(!Arc::ptr_eq(&current(), &reg));
+        assert!(current().is_none());
         assert_eq!(reg.sql.queries.value(), 1);
     }
 
@@ -139,9 +138,11 @@ mod tests {
         let outer = Arc::new(Registry::new());
         let inner = Arc::new(Registry::new());
         with_registry(outer.clone(), || {
-            current().assign.waves.inc();
-            with_registry(inner.clone(), || current().assign.waves.add(2));
-            current().assign.waves.inc();
+            current().expect("outer").assign.waves.inc();
+            with_registry(inner.clone(), || {
+                current().expect("inner").assign.waves.add(2)
+            });
+            current().expect("outer").assign.waves.inc();
         });
         assert_eq!(outer.assign.waves.value(), 2);
         assert_eq!(inner.assign.waves.value(), 2);
@@ -155,7 +156,7 @@ mod tests {
         }));
         assert!(result.is_err());
         assert!(
-            !Arc::ptr_eq(&current(), &reg),
+            current().is_none(),
             "panic must not leak the scoped registry"
         );
     }
@@ -164,8 +165,9 @@ mod tests {
     fn scope_is_thread_local() {
         let reg = Arc::new(Registry::new());
         with_registry(reg.clone(), || {
-            let other = std::thread::spawn(current).join().unwrap();
-            assert!(!Arc::ptr_eq(&other, &reg), "other threads see the default");
+            let other = std::thread::spawn(|| current().is_none());
+            assert!(other.join().unwrap(), "other threads see no registry");
+            assert!(is_current(&reg));
         });
     }
 }

@@ -14,10 +14,8 @@
 //!   buckets: value 0 in bucket 0, otherwise bucket = bit length). Each
 //!   shard keeps its own count/sum/bucket array; merged views sum shards.
 //!
-//! All write paths check the process-wide [`enabled`] flag first (one
-//! relaxed load and a predictable branch), which is both the "null arm"
-//! for the overhead gate and the kill switch if telemetry ever has to be
-//! turned off in production.
+//! Writes are unconditional: "off" means no registry is installed (see
+//! [`crate::current`]), so instrumented code never reaches a primitive.
 //!
 //! ## Determinism
 //!
@@ -28,7 +26,7 @@
 //! workers. Under that discipline every counter/gauge/det-histogram value
 //! is a pure function of the run's inputs at any thread count.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Number of cache-line-padded shards per counter/histogram. Threads get
 /// a shard round-robin on first touch; collisions are possible (shards
@@ -38,21 +36,6 @@ pub const N_SHARDS: usize = 8;
 /// Histogram bucket count: bucket 0 holds the value 0; bucket `i` (1..=64)
 /// holds values whose bit length is `i`, i.e. the range `[2^(i-1), 2^i)`.
 pub const N_BUCKETS: usize = 65;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns all metric writes on or off process-wide. Defaults to on; the
-/// overhead benchmark's null arm and tests that need a quiet registry
-/// turn it off.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether metric writes are currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
 
@@ -88,9 +71,7 @@ impl Counter {
     /// Adds `n` to this thread's shard. Relaxed; never blocks.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -127,17 +108,13 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.value.store(v, Ordering::Relaxed);
-        }
+        self.value.store(v, Ordering::Relaxed);
     }
 
     /// Adjusts the gauge by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.value.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -221,12 +198,10 @@ impl Histogram {
     /// Records one sample into this thread's shard. Three relaxed adds.
     #[inline]
     pub fn record(&self, v: u64) {
-        if enabled() {
-            let s = &self.shards[shard_index()];
-            s.count.fetch_add(1, Ordering::Relaxed);
-            s.sum.fetch_add(v, Ordering::Relaxed);
-            s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        }
+        let s = &self.shards[shard_index()];
+        s.count.fetch_add(1, Ordering::Relaxed);
+        s.sum.fetch_add(v, Ordering::Relaxed);
+        s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Merged view: shard-summed count, sum and buckets.
@@ -362,8 +337,4 @@ mod tests {
         assert_eq!(d.quantile_bound(0.5), 0);
         assert_eq!(d.max_bound(), 0);
     }
-
-    // The enabled-flag kill-switch test lives in tests/disabled.rs as the
-    // sole test of its binary: the flag is process-global, and toggling it
-    // here would race the other unit tests running in parallel threads.
 }

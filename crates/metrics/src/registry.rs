@@ -7,10 +7,10 @@
 //! byte-identical stream contract).
 //!
 //! The active registry is scoped and thread-local like the obs recorder:
-//! [`crate::current`] resolves this thread's registry (a process-wide
-//! default when unscoped), and [`crate::with_registry`] pins a fresh one
-//! for a region of work — how the experiment suite keeps 17 concurrent
-//! experiments from polluting each other's counters.
+//! [`crate::with_registry`] installs one for a region of work, and
+//! [`crate::current`] returns it (`None` when unscoped) — how the
+//! experiment suite keeps 17 concurrent experiments from polluting each
+//! other's counters.
 
 use crate::primitives::{Clock, Counter, Gauge, Histogram};
 

@@ -330,7 +330,11 @@ mod tests {
         r.truth.ds.iters.inc();
         let mut exp = SnapshotExporter::new();
         let rec = Arc::new(MemoryRecorder::new());
-        obs::with_recorder(rec.clone(), || {
+        let scope = obs::Scope {
+            recorder: rec.clone(),
+            provenance: false,
+        };
+        obs::with_scope(scope, || {
             assert_eq!(exp.emit(&r, None), 1);
             assert_eq!(exp.seq(), 1);
             // Nothing changed: no events, seq does not advance.
@@ -410,7 +414,11 @@ mod tests {
         let run = || {
             let r = Registry::new();
             let rec = Arc::new(JsonlRecorder::in_memory().with_wall(false));
-            obs::with_recorder(rec.clone(), || {
+            let scope = obs::Scope {
+                recorder: rec.clone(),
+                provenance: false,
+            };
+            obs::with_scope(scope, || {
                 r.platform.tasks_queued.add(7);
                 r.truth.ds.iters.add(3);
                 r.truth.ds.sweep_ns.record(999); // wall data: dropped below

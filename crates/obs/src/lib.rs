@@ -16,18 +16,20 @@
 //! wall-clock fields that deterministic sinks omit (see
 //! [`JsonlRecorder::with_wall`]).
 //!
-//! ## Activating a recorder
+//! ## Installing a scope
 //!
-//! The active recorder is scoped and thread-local, like a tracing
-//! subscriber; the default is [`NullRecorder`], which reduces every
-//! instrumentation site to one branch:
+//! What telemetry is on is a thread-local [`Scope`], entered like a
+//! tracing subscriber: the recorder events go to, and whether decision
+//! provenance is captured into it. The default is [`NullRecorder`] with
+//! provenance off, which reduces every instrumentation site to one branch:
 //!
 //! ```
 //! use std::sync::Arc;
 //! use crowdkit_obs as obs;
 //!
 //! let rec = Arc::new(obs::MemoryRecorder::new());
-//! obs::with_recorder(rec.clone(), || {
+//! let scope = obs::Scope { recorder: rec.clone(), provenance: false };
+//! obs::with_scope(scope, || {
 //!     // Any crowdkit work in here is recorded.
 //!     obs::quality("accuracy", 0.93);
 //! });
@@ -56,8 +58,31 @@ pub use report::{CostReport, ExperimentReport, InferenceReport, LatencyReport, R
 use std::cell::RefCell;
 use std::sync::Arc;
 
+/// The telemetry installed on one thread: where events go, and whether
+/// the layers also capture decision provenance into that recorder.
+///
+/// The default — [`NullRecorder`], provenance off — is "nothing
+/// installed": every instrumentation site reduces to one thread-local read
+/// and a branch.
+pub struct Scope {
+    /// Receives every event and sample recorded on this thread.
+    pub recorder: Arc<dyn Recorder>,
+    /// Whether truth inference, assignment and CrowdSQL execution record
+    /// decision lineage (`prov.*` events) into [`recorder`](Self::recorder).
+    pub provenance: bool,
+}
+
+impl Default for Scope {
+    fn default() -> Self {
+        Self {
+            recorder: Arc::new(NullRecorder),
+            provenance: false,
+        }
+    }
+}
+
 thread_local! {
-    static CURRENT: RefCell<Arc<dyn Recorder>> = RefCell::new(Arc::new(NullRecorder));
+    static CURRENT: RefCell<Scope> = RefCell::new(Scope::default());
 }
 
 /// The recorder active on this thread. Defaults to [`NullRecorder`].
@@ -65,19 +90,24 @@ thread_local! {
 /// Hot paths should call this once per operation and reuse the handle
 /// rather than re-resolving per item.
 pub fn current() -> Arc<dyn Recorder> {
-    CURRENT.with(|c| c.borrow().clone())
+    CURRENT.with(|c| c.borrow().recorder.clone())
 }
 
 /// Whether the active recorder wants events — the cheap pre-check for
 /// instrumentation sites that would otherwise build an [`Event`].
 pub fn enabled() -> bool {
-    CURRENT.with(|c| c.borrow().enabled())
+    CURRENT.with(|c| c.borrow().recorder.enabled())
 }
 
-/// Restores the previous recorder when dropped, so a panic inside
-/// [`with_recorder`] cannot leak the scoped recorder into later work.
+/// Whether the active scope asks for decision provenance. Off by default.
+pub fn provenance() -> bool {
+    CURRENT.with(|c| c.borrow().provenance)
+}
+
+/// Restores the previous scope when dropped, so a panic inside
+/// [`with_scope`] cannot leak the installed scope into later work.
 struct RestoreGuard {
-    previous: Option<Arc<dyn Recorder>>,
+    previous: Option<Scope>,
 }
 
 impl Drop for RestoreGuard {
@@ -88,14 +118,14 @@ impl Drop for RestoreGuard {
     }
 }
 
-/// Runs `f` with `rec` as this thread's active recorder, restoring the
-/// previous recorder afterwards (including on panic). Scopes nest.
+/// Runs `f` with `scope` installed on this thread, restoring the previous
+/// scope afterwards (including on panic). Scopes nest.
 ///
 /// The scope is per-thread: work `f` hands to other threads sees those
-/// threads' own recorders (normally the null default). Instrumented layers
-/// honour this by emitting only from the calling thread's sequential code.
-pub fn with_recorder<R>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
-    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), rec));
+/// threads' own scopes (normally the default). Instrumented layers honour
+/// this by emitting only from the calling thread's sequential code.
+pub fn with_scope<R>(scope: Scope, f: impl FnOnce() -> R) -> R {
+    let previous = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), scope));
     let _guard = RestoreGuard {
         previous: Some(previous),
     };
@@ -105,7 +135,7 @@ pub fn with_recorder<R>(rec: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R {
 /// Records `event` into the active recorder, if one is enabled.
 pub fn record(event: Event) {
     CURRENT.with(|c| {
-        let rec = c.borrow();
+        let rec = &c.borrow().recorder;
         if rec.enabled() {
             rec.record(event);
         }
@@ -115,7 +145,7 @@ pub fn record(event: Event) {
 /// Records a scalar sample into the active recorder, if one is enabled.
 pub fn sample(key: &'static str, value: f64) {
     CURRENT.with(|c| {
-        let rec = c.borrow();
+        let rec = &c.borrow().recorder;
         if rec.enabled() {
             rec.sample(key, value);
         }
@@ -133,35 +163,50 @@ pub fn quality(metric: &'static str, value: f64) {
 mod tests {
     use super::*;
 
+    fn memory_scope(provenance: bool) -> (Arc<MemoryRecorder>, Scope) {
+        let rec = Arc::new(MemoryRecorder::new());
+        let scope = Scope {
+            recorder: rec.clone(),
+            provenance,
+        };
+        (rec, scope)
+    }
+
     #[test]
-    fn default_recorder_is_null() {
+    fn default_scope_is_null_without_provenance() {
         assert!(!enabled());
+        assert!(!provenance());
         // Recording into the default is a no-op, not a panic.
         record(Event::new("x"));
         sample("y", 1.0);
     }
 
     #[test]
-    fn with_recorder_scopes_and_restores() {
-        let rec = Arc::new(MemoryRecorder::new());
-        assert!(!enabled());
-        with_recorder(rec.clone(), || {
+    fn with_scope_installs_and_restores() {
+        let (rec, scope) = memory_scope(true);
+        with_scope(scope, || {
             assert!(enabled());
+            assert!(provenance());
             record(Event::new("k").u64("n", 1));
             quality("acc", 0.5);
         });
         assert!(!enabled());
+        assert!(!provenance());
         assert_eq!(rec.count("k"), 1);
         assert_eq!(rec.count("exp.quality"), 1);
     }
 
     #[test]
-    fn with_recorder_nests() {
-        let outer = Arc::new(MemoryRecorder::new());
-        let inner = Arc::new(MemoryRecorder::new());
-        with_recorder(outer.clone(), || {
+    fn with_scope_nests() {
+        let (outer, outer_scope) = memory_scope(true);
+        let (inner, inner_scope) = memory_scope(false);
+        with_scope(outer_scope, || {
             record(Event::new("a"));
-            with_recorder(inner.clone(), || record(Event::new("b")));
+            with_scope(inner_scope, || {
+                assert!(!provenance(), "the inner scope's bit wins");
+                record(Event::new("b"));
+            });
+            assert!(provenance(), "closing the inner scope restores the outer");
             record(Event::new("c"));
         });
         assert_eq!(outer.count("a"), 1);
@@ -171,22 +216,27 @@ mod tests {
     }
 
     #[test]
-    fn with_recorder_restores_after_panic() {
-        let rec = Arc::new(MemoryRecorder::new());
+    fn with_scope_restores_after_panic() {
+        let (_rec, scope) = memory_scope(true);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_recorder(rec.clone(), || panic!("boom"));
+            with_scope(scope, || panic!("boom"));
         }));
         assert!(result.is_err());
         assert!(!enabled(), "panic must not leak the scoped recorder");
+        assert!(!provenance(), "panic must not leak the provenance bit");
     }
 
     #[test]
     fn scope_is_thread_local() {
-        let rec = Arc::new(MemoryRecorder::new());
-        with_recorder(rec.clone(), || {
-            let handle = std::thread::spawn(enabled);
-            assert!(!handle.join().unwrap(), "other threads see the default");
-            assert!(enabled());
+        let (_rec, scope) = memory_scope(true);
+        with_scope(scope, || {
+            let other = std::thread::spawn(|| (enabled(), provenance()));
+            assert_eq!(
+                other.join().unwrap(),
+                (false, false),
+                "other threads see the default"
+            );
+            assert!(enabled() && provenance());
         });
     }
 }

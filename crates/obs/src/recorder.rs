@@ -11,17 +11,14 @@
 //!   per-`(key, field)` sum/min/max, and log-scale histograms for
 //!   [`sample`](Recorder::sample) calls. `detail()` is `false`, so
 //!   per-assignment events are skipped and only wave/run summaries land.
-//! * [`JsonlRecorder`] — writes one JSON object per event to a buffer or
-//!   file, the replayable run log. `detail()` is `true`.
+//! * [`JsonlRecorder`] — writes one JSON object per event to an in-memory
+//!   buffer, the replayable run log. `detail()` is `true`.
 //! * [`Tee`] — fans out to two recorders (e.g. aggregate + JSONL).
 //! * [`ShardBuffers`] — N ordered shards, each buffering events from one
 //!   logical stream (e.g. one experiment); flushing replays shards in index
 //!   order so a parallel harness still yields one fixed-order stream.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Write as _};
-use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -194,25 +191,6 @@ impl MemoryRecorder {
             .collect()
     }
 
-    /// All `(key, field)` aggregates, in lexicographic order.
-    pub fn all_field_stats(&self) -> Vec<((&'static str, &'static str), FieldStats)> {
-        self.state
-            .lock()
-            .field_stats
-            .iter()
-            .map(|(k, v)| (*k, *v))
-            .collect()
-    }
-
-    /// All sample histograms, in lexicographic key order.
-    pub fn all_histograms(&self) -> Vec<(&'static str, Arc<LogHistogram>)> {
-        self.histograms
-            .lock()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect()
-    }
-
     /// The distinct group labels seen for `key` events, in lexicographic
     /// order. An event's group is the `:`-joined values of its string
     /// fields (e.g. a `sql.node` event with `node = "CrowdFilter"` lands in
@@ -301,18 +279,13 @@ impl Recorder for MemoryRecorder {
     }
 }
 
-enum Sink {
-    Memory(Mutex<Vec<u8>>),
-    File(Mutex<BufWriter<File>>),
-}
-
 /// Line-per-event JSON recorder: the replayable run log.
 ///
 /// With [`with_wall(false)`](JsonlRecorder::with_wall) the stream contains
 /// only deterministic fields, so two runs of the same workload diff clean
 /// byte for byte — at any thread count.
 pub struct JsonlRecorder {
-    sink: Sink,
+    buf: Mutex<Vec<u8>>,
     include_wall: bool,
 }
 
@@ -321,18 +294,9 @@ impl JsonlRecorder {
     /// [`take_bytes`](JsonlRecorder::take_bytes).
     pub fn in_memory() -> Self {
         Self {
-            sink: Sink::Memory(Mutex::new(Vec::new())),
+            buf: Mutex::new(Vec::new()),
             include_wall: true,
         }
-    }
-
-    /// A recorder streaming lines to `path` (truncating any existing file).
-    pub fn to_file(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self {
-            sink: Sink::File(Mutex::new(BufWriter::new(file))),
-            include_wall: true,
-        })
     }
 
     /// Sets whether wall-clock data (`wall_ns` and wall fields) is written.
@@ -350,31 +314,12 @@ impl JsonlRecorder {
     pub fn write_header(&self, header: &crate::header::StreamHeader) {
         let mut line = header.to_json();
         line.push('\n');
-        match &self.sink {
-            Sink::Memory(buf) => buf.lock().extend_from_slice(line.as_bytes()),
-            Sink::File(w) => {
-                let _ = w.lock().write_all(line.as_bytes());
-            }
-        }
+        self.buf.lock().extend_from_slice(line.as_bytes());
     }
 
-    /// Drains and returns the buffered bytes (in-memory sink only; empty
-    /// for file sinks). Flushes file sinks as a side effect.
+    /// Drains and returns the buffered bytes.
     pub fn take_bytes(&self) -> Vec<u8> {
-        match &self.sink {
-            Sink::Memory(buf) => std::mem::take(&mut *buf.lock()),
-            Sink::File(w) => {
-                let _ = w.lock().flush();
-                Vec::new()
-            }
-        }
-    }
-
-    /// Flushes a file sink; no-op for memory sinks.
-    pub fn flush(&self) {
-        if let Sink::File(w) = &self.sink {
-            let _ = w.lock().flush();
-        }
+        std::mem::take(&mut *self.buf.lock())
     }
 }
 
@@ -386,12 +331,7 @@ impl Recorder for JsonlRecorder {
     fn record(&self, event: Event) {
         let mut line = event.to_json(self.include_wall);
         line.push('\n');
-        match &self.sink {
-            Sink::Memory(buf) => buf.lock().extend_from_slice(line.as_bytes()),
-            Sink::File(w) => {
-                let _ = w.lock().write_all(line.as_bytes());
-            }
-        }
+        self.buf.lock().extend_from_slice(line.as_bytes());
     }
 
     fn sample(&self, _key: &'static str, _value: f64) {

@@ -33,8 +33,8 @@ struct Flip {
 
 /// Collector for one truth-inference run's decision lineage.
 ///
-/// Constructed via [`RunLineage::begin`], which returns `None` unless a
-/// provenance scope is active on this thread *and* the obs recorder is
+/// Constructed via [`RunLineage::begin`], which returns `None` unless the
+/// obs scope on this thread asks for provenance *and* its recorder is
 /// enabled — so the instrumentation sites stay a cheap
 /// `if let Some(l) = &mut lineage` away from zero cost.
 #[derive(Debug)]
@@ -87,11 +87,11 @@ fn margin_of(row: &[f64]) -> f64 {
 
 impl RunLineage {
     /// Opens a lineage collector for `algo`, baselined on the initial
-    /// posterior table (flat `tasks × k`). Returns `None` when no
-    /// provenance scope is active on this thread or the obs recorder is
-    /// disabled; the disabled cost is one relaxed load and a branch.
+    /// posterior table (flat `tasks × k`). Returns `None` when the obs
+    /// scope on this thread does not ask for provenance or its recorder is
+    /// disabled; the disabled cost is one thread-local read and a branch.
     pub fn begin(algo: &'static str, posteriors: &[f64], k: usize) -> Option<Self> {
-        if !crate::enabled() || !obs::current().enabled() {
+        if !obs::provenance() || !obs::current().enabled() {
             return None;
         }
         Some(Self {
@@ -274,18 +274,32 @@ mod tests {
         m
     }
 
+    fn provenance_scope(recorder: Arc<dyn obs::Recorder>) -> obs::Scope {
+        obs::Scope {
+            recorder,
+            provenance: true,
+        }
+    }
+
     #[test]
     fn begin_requires_scope_and_recorder() {
         assert!(RunLineage::begin("mv", &[0.5, 0.5], 2).is_none());
-        crate::with_provenance(|| {
+        obs::with_scope(provenance_scope(Arc::new(obs::NullRecorder)), || {
             assert!(
                 RunLineage::begin("mv", &[0.5, 0.5], 2).is_none(),
                 "null recorder: still off"
             );
-            let rec = Arc::new(obs::MemoryRecorder::new());
-            obs::with_recorder(rec, || {
-                assert!(RunLineage::begin("mv", &[0.5, 0.5], 2).is_some());
-            });
+        });
+        let rec = Arc::new(obs::MemoryRecorder::new());
+        obs::with_scope(provenance_scope(rec.clone()), || {
+            assert!(RunLineage::begin("mv", &[0.5, 0.5], 2).is_some());
+        });
+        let without_bit = obs::Scope {
+            recorder: rec,
+            provenance: false,
+        };
+        obs::with_scope(without_bit, || {
+            assert!(RunLineage::begin("mv", &[0.5, 0.5], 2).is_none());
         });
     }
 
@@ -304,45 +318,41 @@ mod tests {
     #[test]
     fn flips_and_events_round_trip() {
         let matrix = tiny_matrix();
-        crate::with_provenance(|| {
-            let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-            obs::with_recorder(rec.clone(), || {
-                // Baseline: task0 -> 1, task1 -> 0.
-                let mut l = RunLineage::begin("ds", &[0.4, 0.6, 0.8, 0.2], 2).expect("on");
-                // Iter 1 flips task1 to label 1.
-                l.observe_iter(1, &[0.1, 0.9, 0.3, 0.7]);
-                l.finish(&matrix, &[0.1, 0.9, 0.3, 0.7], Some(&[0.9, 0.8, 0.7]));
-            });
-            let text = String::from_utf8(rec.take_bytes()).expect("utf8");
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 2 + 3 + 1, "2 tasks + 3 workers + run");
-            assert!(lines[0].contains("\"key\":\"prov.task\""));
-            assert!(lines[0].contains("\"task\":10"));
-            assert!(lines[0].contains("\"votes\":\"w100=1,w101=1\""));
-            assert!(lines[0].contains("\"flips\":\"\""));
-            assert!(lines[1].contains("\"task\":11"));
-            assert!(lines[1].contains("\"flips\":\"i1:0>1\""));
-            assert!(lines[2].contains("\"key\":\"prov.worker\""));
-            assert!(lines[2].contains("\"worker\":100"));
-            assert!(lines[2].contains("\"weight\":0.9"));
-            // Worker 100 answered task0=1 (agrees) and task1=0 (overruled).
-            assert!(lines[2].contains("\"agree\":1"));
-            assert!(lines[2].contains("\"overruled\":1"));
-            assert!(lines[5].contains("\"key\":\"prov.run\""));
-            assert!(lines[5].contains("\"flips\":1"));
-            assert!(lines[5].contains("\"tasks\":2"));
+        let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
+        obs::with_scope(provenance_scope(rec.clone()), || {
+            // Baseline: task0 -> 1, task1 -> 0.
+            let mut l = RunLineage::begin("ds", &[0.4, 0.6, 0.8, 0.2], 2).expect("on");
+            // Iter 1 flips task1 to label 1.
+            l.observe_iter(1, &[0.1, 0.9, 0.3, 0.7]);
+            l.finish(&matrix, &[0.1, 0.9, 0.3, 0.7], Some(&[0.9, 0.8, 0.7]));
         });
+        let text = String::from_utf8(rec.take_bytes()).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2 + 3 + 1, "2 tasks + 3 workers + run");
+        assert!(lines[0].contains("\"key\":\"prov.task\""));
+        assert!(lines[0].contains("\"task\":10"));
+        assert!(lines[0].contains("\"votes\":\"w100=1,w101=1\""));
+        assert!(lines[0].contains("\"flips\":\"\""));
+        assert!(lines[1].contains("\"task\":11"));
+        assert!(lines[1].contains("\"flips\":\"i1:0>1\""));
+        assert!(lines[2].contains("\"key\":\"prov.worker\""));
+        assert!(lines[2].contains("\"worker\":100"));
+        assert!(lines[2].contains("\"weight\":0.9"));
+        // Worker 100 answered task0=1 (agrees) and task1=0 (overruled).
+        assert!(lines[2].contains("\"agree\":1"));
+        assert!(lines[2].contains("\"overruled\":1"));
+        assert!(lines[5].contains("\"key\":\"prov.run\""));
+        assert!(lines[5].contains("\"flips\":1"));
+        assert!(lines[5].contains("\"tasks\":2"));
     }
 
     #[test]
     fn aggregating_recorder_gets_only_the_run_summary() {
         let matrix = tiny_matrix();
         let rec = Arc::new(obs::MemoryRecorder::new());
-        crate::with_provenance(|| {
-            obs::with_recorder(rec.clone(), || {
-                let l = RunLineage::begin("mv", &[0.0, 1.0, 1.0, 0.0], 2).expect("on");
-                l.finish(&matrix, &[0.0, 1.0, 1.0, 0.0], None);
-            });
+        obs::with_scope(provenance_scope(rec.clone()), || {
+            let l = RunLineage::begin("mv", &[0.0, 1.0, 1.0, 0.0], 2).expect("on");
+            l.finish(&matrix, &[0.0, 1.0, 1.0, 0.0], None);
         });
         assert_eq!(rec.count("prov.task"), 0);
         assert_eq!(rec.count("prov.worker"), 0);

@@ -94,7 +94,11 @@ mod tests {
         assert!(!ledger.is_empty());
 
         let rec = Arc::new(obs::JsonlRecorder::in_memory().with_wall(false));
-        obs::with_recorder(rec.clone(), || ledger.emit());
+        let scope = obs::Scope {
+            recorder: rec.clone(),
+            provenance: false,
+        };
+        obs::with_scope(scope, || ledger.emit());
         let text = String::from_utf8(rec.take_bytes()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2 + 2);

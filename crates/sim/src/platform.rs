@@ -451,9 +451,11 @@ impl CrowdOracle for SimulatedCrowd {
         }
         let rec = obs::current();
         let m = metrics::current();
-        m.platform.tasks_queued.add(reqs.len() as u64);
-        m.platform.batches.inc();
-        m.platform.open_batch_depth.set(reqs.len() as i64);
+        if let Some(m) = &m {
+            m.platform.tasks_queued.add(reqs.len() as u64);
+            m.platform.batches.inc();
+            m.platform.open_batch_depth.set(reqs.len() as i64);
+        }
         let t_plan = obs::WallTimer::start();
 
         // ---- Phase 1: sequential planning ------------------------------
@@ -563,15 +565,17 @@ impl CrowdOracle for SimulatedCrowd {
                 _ => {}
             }
         }
-        m.platform.tasks_assigned.add(plan.len() as u64);
-        m.platform.tasks_answered.add(plan.len() as u64);
-        m.platform
-            .spend_micros
-            .add(metrics::to_micros(plan.iter().map(|p| p.price).sum()));
-        m.platform.budget_stopped.add(budget_stopped);
-        m.platform.no_worker.add(no_worker);
-        m.platform.open_batch_depth.set(0);
-        m.platform.batch_ns.record(plan_ns + exec_ns);
+        if let Some(m) = &m {
+            m.platform.tasks_assigned.add(plan.len() as u64);
+            m.platform.tasks_answered.add(plan.len() as u64);
+            m.platform
+                .spend_micros
+                .add(metrics::to_micros(plan.iter().map(|p| p.price).sum()));
+            m.platform.budget_stopped.add(budget_stopped);
+            m.platform.no_worker.add(no_worker);
+            m.platform.open_batch_depth.set(0);
+            m.platform.batch_ns.record(plan_ns + exec_ns);
+        }
         if enabled {
             rec.record(
                 Event::new("platform.batch")

@@ -445,14 +445,15 @@ impl Session {
             predicted_spend: predicted.total.spend,
             predicted_rounds: predicted.total.rounds,
         };
-        let m = metrics::current();
-        m.sql.queries.inc();
-        m.sql.rows_out.add(stats.rows_out as u64);
-        m.sql.crowd_questions.add(stats.questions);
-        m.sql.spend_micros.add(metrics::to_micros(stats.spend));
-        m.sql.nodes.add(out.node_stats.len() as u64);
-        for ns in &out.node_stats {
-            m.sql.node_rows.record(ns.rows_out);
+        if let Some(m) = metrics::current() {
+            m.sql.queries.inc();
+            m.sql.rows_out.add(stats.rows_out as u64);
+            m.sql.crowd_questions.add(stats.questions);
+            m.sql.spend_micros.add(metrics::to_micros(stats.spend));
+            m.sql.nodes.add(out.node_stats.len() as u64);
+            for ns in &out.node_stats {
+                m.sql.node_rows.record(ns.rows_out);
+            }
         }
         if obs::enabled() {
             for ns in &out.node_stats {

@@ -47,7 +47,11 @@ fn record_run(seed: u64, threads: usize, include_wall: bool) -> Vec<u8> {
         threads as u32,
         "it:batch+ds",
     ));
-    obs::with_recorder(rec.clone(), || {
+    let scope = obs::Scope {
+        recorder: rec.clone(),
+        provenance: false,
+    };
+    obs::with_scope(scope, || {
         obs::record(obs::Event::new("exp.begin").str("id", "it"));
         let pop = PopulationBuilder::new().reliable(30, 0.7, 0.95).build(seed);
         let crowd = PlatformBuilder::new(pop)

@@ -29,7 +29,11 @@ fn record(n_tasks: usize, seed: u64, threads: usize, include_wall: bool) -> Stri
         threads as u32,
         "prop:label+ds",
     ));
-    obs::with_recorder(rec.clone(), || {
+    let scope = obs::Scope {
+        recorder: rec.clone(),
+        provenance: false,
+    };
+    obs::with_scope(scope, || {
         let pop = PopulationBuilder::new().reliable(25, 0.7, 0.95).build(seed);
         let crowd = PlatformBuilder::new(pop)
             .latency(LatencyModel::human_default())

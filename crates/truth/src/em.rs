@@ -140,10 +140,11 @@ pub(crate) fn obs_iter(
     m_ns: u64,
     e_ns: u64,
 ) {
-    let m = metrics::current();
-    if let Some(am) = m.truth.algo(algo) {
-        am.iters.inc();
-        am.sweep_ns.record(m_ns + e_ns);
+    if let Some(m) = metrics::current() {
+        if let Some(am) = m.truth.algo(algo) {
+            am.iters.inc();
+            am.sweep_ns.record(m_ns + e_ns);
+        }
     }
     rec.record(
         Event::new("truth.iter")
@@ -166,9 +167,10 @@ pub(crate) fn obs_run(
     converged: bool,
     start: obs::WallTimer,
 ) {
-    let m = metrics::current();
-    if let Some(am) = m.truth.algo(algo) {
-        am.runs.inc();
+    if let Some(m) = metrics::current() {
+        if let Some(am) = m.truth.algo(algo) {
+            am.runs.inc();
+        }
     }
     if !obs::enabled() {
         return;

@@ -412,11 +412,12 @@ impl ActiveSet {
     /// thread counts.
     pub fn observe(&self, rec: &dyn obs::Recorder, algo: &'static str, iter: usize, out: &SweepOutcome) {
         if out.froze > 0 || out.thawed > 0 {
-            let m = crowdkit_metrics::current();
-            m.truth.freezes.add(out.froze as u64);
-            m.truth.thaws.add(out.thawed as u64);
-            m.truth.active_tasks.set(out.active_len as i64);
-            m.truth.frozen_tasks.set(out.frozen_total as i64);
+            if let Some(m) = crowdkit_metrics::current() {
+                m.truth.freezes.add(out.froze as u64);
+                m.truth.thaws.add(out.thawed as u64);
+                m.truth.active_tasks.set(out.active_len as i64);
+                m.truth.frozen_tasks.set(out.frozen_total as i64);
+            }
         }
         if out.froze > 0 {
             rec.record(

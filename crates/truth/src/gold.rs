@@ -136,12 +136,6 @@ impl GoldWeightedVote {
             elimination_threshold: 0.5,
         }
     }
-
-    /// Overrides the elimination threshold (builder style).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.elimination_threshold = threshold;
-        self
-    }
 }
 
 impl TruthInferencer for GoldWeightedVote {

@@ -132,7 +132,7 @@ impl TruthInferencer for Kos {
                 .collect()
         };
         // Lineage baseline: the decision implied by the initial messages.
-        let mut lineage = if crowdkit_provenance::enabled() {
+        let mut lineage = if crowdkit_obs::provenance() {
             crowdkit_provenance::RunLineage::begin("kos", &snapshot(&y), 2)
         } else {
             None
@@ -246,11 +246,9 @@ impl TruthInferencer for Kos {
         }
         // KOS has no shared obs_iter loop (BP sweeps carry no convergence
         // delta), so its iteration count lands on the counter here.
-        crowdkit_metrics::current()
-            .truth
-            .kos
-            .iters
-            .add(self.iterations as u64);
+        if let Some(m) = crowdkit_metrics::current() {
+            m.truth.kos.iters.add(self.iterations as u64);
+        }
         crate::em::obs_run("kos", matrix, self.iterations, true, run_start);
         Ok(InferenceResult {
             labels,
