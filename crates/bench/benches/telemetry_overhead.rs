@@ -10,10 +10,10 @@
 //! | metrics    | `ask_batch`, DS | a `MemoryRecorder`          | the same plus a `Registry` | 3 %   |
 //! | provenance | DS              | a `MemoryRecorder`, bit off | the same, bit on           | 5 %   |
 //!
-//! The metrics arms both run under a recorder because the EM loops write
-//! their per-iteration metrics from the per-iteration obs path: without a
-//! recorder a Dawid–Skene run writes one counter, and the DS gate could
-//! not see a slower `Counter::add`. The suite always installs both.
+//! The metrics arms both run under a recorder, so the gated difference is
+//! the registry's writes alone: the EM loops' phase timers, which run
+//! whenever either sink is in scope, are paid by both arms. The suite
+//! always installs both.
 //!
 //! `ask_batch` is batched platform execution (200 tasks × 3 votes) and DS
 //! is Dawid–Skene EM over a 500 × 5 matrix. Three choices keep the gate

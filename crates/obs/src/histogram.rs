@@ -57,9 +57,18 @@ impl LogHistogram {
         Self::default()
     }
 
-    /// Records one sample.
-    pub fn record(&self, value: f64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    /// Records a batch of samples: counted locally, then one atomic add
+    /// per bucket touched.
+    pub fn record(&self, values: &[f64]) {
+        let mut counts = [0u64; BUCKETS];
+        for &value in values {
+            counts[bucket_of(value)] += 1;
+        }
+        for (bucket, &n) in self.buckets.iter().zip(&counts) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Total number of samples recorded.
@@ -121,10 +130,10 @@ mod tests {
     fn quantiles_bracket_the_data() {
         let h = LogHistogram::new();
         for _ in 0..90 {
-            h.record(1.0);
+            h.record(&[1.0]);
         }
         for _ in 0..10 {
-            h.record(1000.0);
+            h.record(&[1000.0]);
         }
         assert_eq!(h.count(), 100);
         let p50 = h.quantile(0.5);
@@ -138,9 +147,9 @@ mod tests {
     #[test]
     fn degenerate_inputs_land_in_the_zero_bucket() {
         let h = LogHistogram::new();
-        h.record(0.0);
-        h.record(-5.0);
-        h.record(f64::NAN);
+        h.record(&[0.0]);
+        h.record(&[-5.0]);
+        h.record(&[f64::NAN]);
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(1.0), 0.0);
     }
@@ -160,7 +169,7 @@ mod tests {
     #[test]
     fn single_sample_dominates_every_quantile() {
         let h = LogHistogram::new();
-        h.record(3.0);
+        h.record(&[3.0]);
         assert_eq!(h.count(), 1);
         let floor = h.quantile(0.5);
         // One sample: p0 through p100 all land in its bucket.
@@ -175,9 +184,9 @@ mod tests {
     #[test]
     fn p0_and_p100_bracket_a_spread_distribution() {
         let h = LogHistogram::new();
-        h.record(0.001);
-        h.record(1.0);
-        h.record(4000.0);
+        h.record(&[0.001]);
+        h.record(&[1.0]);
+        h.record(&[4000.0]);
         // p0 clamps to the first sample's bucket, p100 to the last's; out of
         // range q values clamp rather than panic.
         let p0 = h.quantile(0.0);
@@ -193,10 +202,10 @@ mod tests {
         let lo = LogHistogram::new();
         let hi = LogHistogram::new();
         for _ in 0..10 {
-            lo.record(0.01);
+            lo.record(&[0.01]);
         }
         for _ in 0..10 {
-            hi.record(10_000.0);
+            hi.record(&[10_000.0]);
         }
         // Ranges are disjoint: no bucket overlap between the two.
         let lo_buckets: Vec<f64> = lo.nonzero_buckets().iter().map(|(f, _)| *f).collect();
@@ -217,9 +226,8 @@ mod tests {
     fn merge_adds_counts() {
         let a = LogHistogram::new();
         let b = LogHistogram::new();
-        a.record(1.0);
-        b.record(1.0);
-        b.record(64.0);
+        a.record(&[1.0]);
+        b.record(&[1.0, 64.0]);
         a.merge(&b);
         assert_eq!(a.count(), 3);
         assert_eq!(a.nonzero_buckets().len(), 2);
@@ -228,7 +236,7 @@ mod tests {
     #[test]
     fn huge_values_saturate_the_top_bucket() {
         let h = LogHistogram::new();
-        h.record(f64::MAX);
+        h.record(&[f64::MAX]);
         assert_eq!(h.count(), 1);
         assert!(h.quantile(1.0) > 0.0);
     }

@@ -147,7 +147,7 @@ pub fn sample(key: &'static str, value: f64) {
     CURRENT.with(|c| {
         let rec = &c.borrow().recorder;
         if rec.enabled() {
-            rec.sample(key, value);
+            rec.samples(key, &[value]);
         }
     });
 }

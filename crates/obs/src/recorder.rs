@@ -9,7 +9,7 @@
 //!   cost is one thread-local read and a branch.
 //! * [`MemoryRecorder`] — aggregates in memory: per-key event counts,
 //!   per-`(key, field)` sum/min/max, and log-scale histograms for
-//!   [`sample`](Recorder::sample) calls. `detail()` is `false`, so
+//!   [`samples`](Recorder::samples) calls. `detail()` is `false`, so
 //!   per-assignment events are skipped and only wave/run summaries land.
 //! * [`JsonlRecorder`] — writes one JSON object per event to an in-memory
 //!   buffer, the replayable run log. `detail()` is `true`.
@@ -48,8 +48,10 @@ pub trait Recorder: Send + Sync {
     /// Records one structured event.
     fn record(&self, event: Event);
 
-    /// Records one scalar latency-style sample under `key`.
-    fn sample(&self, key: &'static str, value: f64);
+    /// Records scalar latency-style samples under `key`. Callers pass a
+    /// whole batch at once, so an aggregating recorder looks its histogram
+    /// up once per batch, not once per sample.
+    fn samples(&self, key: &'static str, values: &[f64]);
 }
 
 impl<R: Recorder + ?Sized> Recorder for Arc<R> {
@@ -65,8 +67,8 @@ impl<R: Recorder + ?Sized> Recorder for Arc<R> {
         (**self).record(event);
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
-        (**self).sample(key, value);
+    fn samples(&self, key: &'static str, values: &[f64]) {
+        (**self).samples(key, values);
     }
 }
 
@@ -81,7 +83,7 @@ impl Recorder for NullRecorder {
 
     fn record(&self, _event: Event) {}
 
-    fn sample(&self, _key: &'static str, _value: f64) {}
+    fn samples(&self, _key: &'static str, _values: &[f64]) {}
 }
 
 /// Sum/min/max/count aggregate of one numeric field across events.
@@ -134,7 +136,7 @@ struct MemoryState {
 }
 
 /// In-memory aggregating recorder: counts events by key, aggregates every
-/// numeric field, and buckets [`sample`](Recorder::sample) calls into
+/// numeric field, and buckets [`samples`](Recorder::samples) calls into
 /// log-scale histograms. Cheap enough to leave on for whole experiment
 /// suites; skips per-assignment detail events.
 #[derive(Default)]
@@ -270,12 +272,12 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
+    fn samples(&self, key: &'static str, values: &[f64]) {
         let hist = {
             let mut map = self.histograms.lock();
             map.entry(key).or_insert_with(|| Arc::new(LogHistogram::new())).clone()
         };
-        hist.record(value);
+        hist.record(values);
     }
 }
 
@@ -334,7 +336,7 @@ impl Recorder for JsonlRecorder {
         self.buf.lock().extend_from_slice(line.as_bytes());
     }
 
-    fn sample(&self, _key: &'static str, _value: f64) {
+    fn samples(&self, _key: &'static str, _values: &[f64]) {
         // Samples are aggregate-only; the JSONL stream carries events.
     }
 }
@@ -360,9 +362,9 @@ impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
         }
     }
 
-    fn sample(&self, key: &'static str, value: f64) {
-        self.0.sample(key, value);
-        self.1.sample(key, value);
+    fn samples(&self, key: &'static str, values: &[f64]) {
+        self.0.samples(key, values);
+        self.1.samples(key, values);
     }
 }
 
@@ -428,7 +430,7 @@ impl Recorder for ShardRecorder {
         self.shards[self.index].lock().push(event);
     }
 
-    fn sample(&self, _key: &'static str, _value: f64) {
+    fn samples(&self, _key: &'static str, _values: &[f64]) {
         // Shard buffers carry events only; attach a Tee'd MemoryRecorder
         // when sample aggregation is needed.
     }
@@ -444,7 +446,7 @@ mod tests {
         assert!(!r.enabled());
         assert!(!r.detail());
         r.record(Event::new("x"));
-        r.sample("y", 1.0);
+        r.samples("y", &[1.0]);
     }
 
     #[test]
@@ -484,9 +486,9 @@ mod tests {
     #[test]
     fn memory_recorder_histograms_samples() {
         let r = MemoryRecorder::new();
-        r.sample("lat", 1.0);
-        r.sample("lat", 2.0);
-        assert_eq!(r.histogram("lat").unwrap().count(), 2);
+        r.samples("lat", &[1.0]);
+        r.samples("lat", &[2.0, 3.0]);
+        assert_eq!(r.histogram("lat").unwrap().count(), 3);
         assert!(r.histogram("other").is_none());
     }
 
@@ -517,7 +519,7 @@ mod tests {
     fn tee_duplicates_events() {
         let tee = Tee(MemoryRecorder::new(), MemoryRecorder::new());
         tee.record(Event::new("k").u64("n", 1));
-        tee.sample("s", 3.0);
+        tee.samples("s", &[3.0]);
         assert_eq!(tee.0.count("k"), 1);
         assert_eq!(tee.1.count("k"), 1);
         assert_eq!(tee.0.histogram("s").unwrap().count(), 1);

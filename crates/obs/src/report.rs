@@ -323,7 +323,7 @@ mod tests {
                 .u64("flips", 5)
                 .f64("margin_mean", 0.8),
         );
-        rec.sample("platform.latency", 12.0);
+        rec.samples("platform.latency", &[12.0]);
         rec
     }
 

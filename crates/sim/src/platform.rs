@@ -33,8 +33,25 @@
 //! worker to come online). Because every cross-assignment decision
 //! happens in the sequential phase, results are byte-identical at any
 //! thread count.
+//!
+//! # Worker pick
+//!
+//! Each planned assignment draws its worker from its own pick stream.
+//! Without churn the draw is `gen_range(0..free)`, `free` being the
+//! workers the task has not taken (asked before, or excluded by the
+//! request), and it selects the `r`-th free worker in population order.
+//! `pick_free` finds that worker without building the free list: it
+//! skip-counts `r` past the task's sorted taken indices, O(k log k) for k
+//! taken workers whatever the population size. Excluded ids map to
+//! indices through [`Population::index_of`], O(1) for the dense ids the
+//! builders assign; no id → index map is built with the platform, since
+//! its set-up cost would exceed what it saves on short exclusion lists.
+//! Under [`Churn`] the pick scans the population instead: it prefers
+//! workers online at the batch epoch and otherwise waits for the earliest
+//! eligible arrival.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crowdkit_core::answer::Answer;
@@ -280,9 +297,10 @@ impl PlatformBuilder {
 /// Per-task assignment bookkeeping, kept inside a shard.
 #[derive(Debug, Default)]
 struct TaskState {
-    /// Workers already assigned to this task (a worker answers a given
-    /// task at most once, as on real platforms).
-    asked: HashSet<WorkerId>,
+    /// Population indices of the workers already assigned to this task,
+    /// sorted ascending (a worker answers a given task at most once, as on
+    /// real platforms).
+    asked: Vec<usize>,
     /// Monotone count of assignments ever planned for this task; the
     /// per-assignment RNG streams are derived from it, so streams never
     /// repeat across separate asks for the same task.
@@ -373,10 +391,10 @@ impl SimulatedCrowd {
 
     /// Batch worker pick: deterministic function of the derived pick
     /// stream, the reservation state and the batch epoch — never of thread
-    /// timing. Under churn, workers online at the epoch are preferred; when
-    /// nobody eligible is online the assignment *waits* (its serve time
-    /// becomes the earliest arrival) without blocking the rest of the
-    /// batch.
+    /// timing. Without churn this is [`pick_free`]. Under churn, workers
+    /// online at the epoch are preferred; when nobody eligible is online
+    /// the assignment *waits* (its serve time becomes the earliest arrival)
+    /// without blocking the rest of the batch.
     fn pick_worker_batch(
         &self,
         state: &TaskState,
@@ -384,22 +402,22 @@ impl SimulatedCrowd {
         epoch: f64,
         pick_seed: u64,
     ) -> Option<(usize, f64)> {
+        let mut pick_rng = StdRng::seed_from_u64(pick_seed);
+        let Some(churn) = self.churn else {
+            return pick_free(&self.population, &state.asked, exclude, &mut pick_rng)
+                .map(|i| (i, epoch));
+        };
         let eligible: Vec<usize> = self
             .population
             .workers()
             .iter()
             .enumerate()
-            .filter(|(_, w)| !state.asked.contains(&w.id) && !exclude.contains(&w.id))
+            .filter(|(i, w)| state.asked.binary_search(i).is_err() && !exclude.contains(&w.id))
             .map(|(i, _)| i)
             .collect();
         if eligible.is_empty() {
             return None;
         }
-        let mut pick_rng = StdRng::seed_from_u64(pick_seed);
-        let Some(churn) = self.churn else {
-            let i = eligible[pick_rng.gen_range(0..eligible.len())];
-            return Some((i, epoch));
-        };
         let online: Vec<usize> = eligible
             .iter()
             .copied()
@@ -421,6 +439,43 @@ impl SimulatedCrowd {
             .expect("eligible is non-empty"); // crowdkit-lint: allow(PANIC001) — empty `eligible` returned None earlier in this function
         Some((next_i, next_t))
     }
+}
+
+/// The no-churn worker pick: the population index of the `r`-th worker,
+/// in population order, that is neither in `asked` (sorted population
+/// indices) nor in `exclude`, with `r` drawn as `gen_range(0..free)`.
+///
+/// It never builds the eligible list. The taken indices are merged and
+/// deduplicated, then `r` skip-counts past each taken index at or below
+/// it: O(k log k) for k taken workers, and no allocation when `exclude` is
+/// empty. Excluded ids outside the population take no slot.
+fn pick_free(
+    population: &Population,
+    asked: &[usize],
+    exclude: &[WorkerId],
+    rng: &mut StdRng,
+) -> Option<usize> {
+    let taken: Cow<'_, [usize]> = if exclude.is_empty() {
+        Cow::Borrowed(asked)
+    } else {
+        let mut all = asked.to_vec();
+        all.extend(exclude.iter().filter_map(|&id| population.index_of(id)));
+        all.sort_unstable();
+        all.dedup();
+        Cow::Owned(all)
+    };
+    let free = population.len() - taken.len();
+    if free == 0 {
+        return None;
+    }
+    let mut i = rng.gen_range(0..free);
+    for &t in taken.iter() {
+        if t > i {
+            break;
+        }
+        i += 1;
+    }
+    Some(i)
 }
 
 impl CrowdOracle for SimulatedCrowd {
@@ -490,7 +545,9 @@ impl CrowdOracle for SimulatedCrowd {
                         break;
                     };
                     state.attempts += 1;
-                    state.asked.insert(self.population.get(worker_idx).id);
+                    if let Err(pos) = state.asked.binary_search(&worker_idx) {
+                        state.asked.insert(pos, worker_idx);
+                    }
                     drop(shard);
                     budget.debit(price)?;
                     self.ledger_stripe_for(req.task.id)
@@ -532,12 +589,13 @@ impl CrowdOracle for SimulatedCrowd {
         let detail = enabled && rec.detail();
         let mut makespan = epoch;
         let mut latency_sum = 0.0;
+        let mut latencies = Vec::with_capacity(if enabled { plan.len() } else { 0 });
         for (p, a) in plan.iter().zip(answers) {
             makespan = makespan.max(a.submitted_at);
             if enabled {
                 let latency = a.submitted_at - epoch;
                 latency_sum += latency;
-                rec.sample("platform.latency", latency);
+                latencies.push(latency);
                 if detail {
                     rec.record(
                         Event::new("platform.assign")
@@ -551,6 +609,9 @@ impl CrowdOracle for SimulatedCrowd {
                 }
             }
             outcomes[p.req_idx].answers.push(a);
+        }
+        if enabled {
+            rec.samples("platform.latency", &latencies);
         }
         self.delivered.fetch_add(plan.len() as u64, Ordering::Relaxed);
         {
@@ -614,6 +675,7 @@ mod tests {
     use crate::population::PopulationBuilder;
     use crowdkit_core::answer::AnswerValue;
     use crowdkit_core::task::Task;
+    use std::collections::HashSet;
 
     fn perfect_pop(n: usize) -> Population {
         PopulationBuilder::new().reliable(n, 1.0, 1.0).build(0)
@@ -1027,6 +1089,50 @@ mod qualification_tests {
     }
 
     #[test]
+    fn screened_pool_keeps_ids_unique_and_never_reuses_a_worker() {
+        let crowd = PlatformBuilder::new(mixed_pop())
+            .qualification(Qualification {
+                questions: 8,
+                pass_fraction: 0.75,
+                difficulty: 0.2,
+            })
+            .seed(3)
+            .build();
+        let pop = crowd.population();
+        let ids: Vec<u64> = pop.workers().iter().map(|w| w.id.raw()).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids unique: {ids:?}");
+        assert!(
+            ids.iter().enumerate().any(|(i, &id)| id != i as u64),
+            "screening left the ids dense, so the sparse lookup is untested"
+        );
+        for (i, w) in pop.workers().iter().enumerate() {
+            assert_eq!(pop.index_of(w.id), Some(i));
+        }
+        // Exclude the first survivor and an id screening rejected, then
+        // drain one task: every other survivor answers exactly once.
+        let rejected = (0..)
+            .map(WorkerId::new)
+            .find(|&id| pop.by_id(id).is_none())
+            .unwrap();
+        let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
+        let req = AskRequest::new(&task)
+            .with_redundancy(pop.len())
+            .without_worker(pop.get(0).id)
+            .without_worker(rejected);
+        let out = crowd.ask(&req).unwrap();
+        assert_eq!(out.shortfall, Some(CrowdError::NoWorkerAvailable));
+        let mut got: Vec<u64> = out.answers.iter().map(|a| a.worker.raw()).collect();
+        got.sort_unstable();
+        assert_eq!(got, ids[1..], "each non-excluded survivor answers once");
+        // Exclusion is per request: the first survivor is the one left.
+        assert_eq!(crowd.ask_one(&task).unwrap().worker, pop.get(0).id);
+        assert_eq!(
+            crowd.ask_one(&task).unwrap_err(),
+            CrowdError::NoWorkerAvailable
+        );
+    }
+
+    #[test]
     fn exhausted_budget_rejects_remaining_workers() {
         let crowd = PlatformBuilder::new(mixed_pop())
             .qualification(Qualification {
@@ -1197,5 +1303,123 @@ mod churn_tests {
             duty_cycle: 0.0,
             period: 600.0,
         });
+    }
+}
+
+#[cfg(test)]
+mod pick_tests {
+    use super::*;
+    use crate::population::PopulationBuilder;
+    use crate::worker::WorkerProfile;
+    use crowdkit_core::answer::AnswerValue;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The scan [`pick_free`] replaced: build the eligible list over the
+    /// whole population, then index it with the same draw.
+    fn pick_scan(
+        population: &Population,
+        asked: &HashSet<WorkerId>,
+        exclude: &[WorkerId],
+        rng: &mut StdRng,
+    ) -> Option<usize> {
+        let eligible: Vec<usize> = population
+            .workers()
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !asked.contains(&w.id) && !exclude.contains(&w.id))
+            .map(|(i, _)| i)
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        Some(eligible[rng.gen_range(0..eligible.len())])
+    }
+
+    /// A population of `n` workers; with `gaps`, only those whose `keep`
+    /// roll is set survive, as after qualification screening.
+    fn population(n: usize, gaps: bool, keep: &[bool]) -> Population {
+        let full = PopulationBuilder::new().reliable(n, 0.8, 0.8).build(0);
+        if !gaps {
+            return full;
+        }
+        let kept: Vec<WorkerProfile> = full
+            .workers()
+            .iter()
+            .zip(keep)
+            .filter(|(_, &k)| k)
+            .map(|(w, _)| w.clone())
+            .collect();
+        Population::from_profiles(kept)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The skip-count pick returns the scan's worker, and `None`
+        /// exactly when the scan finds nobody eligible.
+        #[test]
+        fn skip_count_pick_matches_the_scan(
+            (n, gaps, keep) in (1usize..48, prop::bool::ANY, prop::collection::vec(prop::bool::ANY, 48)),
+            (level, rolls) in (0u8..5, prop::collection::vec(0u8..4, 48)),
+            exclude_raw in prop::collection::vec(0u64..64, 0..10),
+            repeat_asked in prop::collection::vec(0usize..48, 0..4),
+            seed in 0u64..u64::MAX,
+        ) {
+            let pop = population(n, gaps, &keep);
+            // `asked` as the platform keeps it (sorted indices) and as the
+            // scan kept it (a set of ids).
+            let asked: Vec<usize> = (0..pop.len()).filter(|&i| rolls[i] < level).collect();
+            let asked_ids: HashSet<WorkerId> = asked.iter().map(|&i| pop.get(i).id).collect();
+            // Duplicates come from the small id range, outsiders from ids
+            // beyond the population; `repeat_asked` adds ids already asked.
+            let mut exclude: Vec<WorkerId> = exclude_raw.into_iter().map(WorkerId::new).collect();
+            exclude.extend(
+                repeat_asked
+                    .iter()
+                    .filter_map(|&j| asked.get(j % asked.len().max(1)))
+                    .map(|&i| pop.get(i).id),
+            );
+            let fast = pick_free(&pop, &asked, &exclude, &mut StdRng::seed_from_u64(seed));
+            let scan = pick_scan(&pop, &asked_ids, &exclude, &mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(fast, scan);
+        }
+    }
+
+    #[test]
+    fn pick_after_the_last_free_worker_is_none() {
+        let kept: Vec<WorkerProfile> = PopulationBuilder::new()
+            .reliable(6, 0.8, 0.8)
+            .build(0)
+            .workers()
+            .iter()
+            .filter(|w| w.id.raw() % 2 == 1)
+            .cloned()
+            .collect();
+        let pop = Population::from_profiles(kept);
+        let exclude = [WorkerId::new(3), WorkerId::new(3), WorkerId::new(4)];
+        let mut asked = Vec::new();
+        let mut rng = StdRng::seed_from_u64(1);
+        while let Some(i) = pick_free(&pop, &asked, &exclude, &mut rng) {
+            assert_ne!(pop.get(i).id, WorkerId::new(3), "excluded worker picked");
+            let pos = asked.binary_search(&i).expect_err("worker picked twice");
+            asked.insert(pos, i);
+        }
+        assert_eq!(asked, [0, 2], "ids 1 and 5 are the free workers");
+
+        // The platform turns the empty pick into NoWorkerAvailable.
+        let crowd = SimulatedCrowd::new(pop, 1);
+        let task = Task::binary(TaskId::new(0), "q").with_truth(AnswerValue::Choice(1));
+        let req = AskRequest::new(&task).with_redundancy(2);
+        let req = exclude.iter().fold(req, |r, &id| r.without_worker(id));
+        let out = crowd.ask(&req).unwrap();
+        assert_eq!((out.delivered(), out.shortfall), (2, None));
+        let out = crowd
+            .ask(&AskRequest::new(&task).without_worker(WorkerId::new(3)))
+            .unwrap();
+        assert_eq!(
+            (out.delivered(), out.shortfall),
+            (0, Some(CrowdError::NoWorkerAvailable))
+        );
     }
 }

@@ -98,6 +98,12 @@ pub struct Population {
 
 impl Population {
     /// Wraps explicit profiles.
+    ///
+    /// Worker ids must be unique within a population: the platform keys
+    /// its never-the-same-worker-twice rule and its exclusions on them.
+    /// Ids need not be dense — a qualification-screened pool keeps the
+    /// ids of the workers that passed — but lookups are O(1) only where a
+    /// worker's id equals its index.
     pub fn from_profiles(workers: Vec<WorkerProfile>) -> Self {
         Self { workers }
     }
@@ -124,7 +130,17 @@ impl Population {
 
     /// Profile by worker id, if present.
     pub fn by_id(&self, id: WorkerId) -> Option<&WorkerProfile> {
-        self.workers.iter().find(|w| w.id == id)
+        self.index_of(id).map(|i| &self.workers[i])
+    }
+
+    /// Index of the worker with this id, if present. O(1) for the dense
+    /// `0..n` ids [`PopulationBuilder`] assigns; a linear search otherwise.
+    pub fn index_of(&self, id: WorkerId) -> Option<usize> {
+        let dense = usize::try_from(id.raw()).ok();
+        match dense.and_then(|i| self.workers.get(i)) {
+            Some(w) if w.id == id => dense,
+            _ => self.workers.iter().position(|w| w.id == id),
+        }
     }
 
     /// Ground-truth scalar quality per worker (aligned with
@@ -236,6 +252,32 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
         assert!(p.by_id(WorkerId::new(4)).is_some());
         assert!(p.by_id(WorkerId::new(5)).is_none());
+    }
+
+    #[test]
+    fn index_of_finds_dense_and_sparse_ids() {
+        let dense = PopulationBuilder::new().reliable(4, 0.8, 0.8).build(1);
+        for (i, w) in dense.workers().iter().enumerate() {
+            assert_eq!(dense.index_of(w.id), Some(i));
+        }
+        assert_eq!(dense.index_of(WorkerId::new(4)), None);
+        assert_eq!(dense.index_of(WorkerId::new(u64::MAX)), None);
+
+        // A screened pool: ids 1, 3, 4 at indices 0, 1, 2.
+        let kept: Vec<WorkerProfile> = PopulationBuilder::new()
+            .reliable(5, 0.8, 0.8)
+            .build(1)
+            .workers()
+            .iter()
+            .filter(|w| [1, 3, 4].contains(&w.id.raw()))
+            .cloned()
+            .collect();
+        let sparse = Population::from_profiles(kept);
+        let found: Vec<Option<usize>> = (0..6)
+            .map(|raw| sparse.index_of(WorkerId::new(raw)))
+            .collect();
+        assert_eq!(found, [None, Some(0), None, Some(1), Some(2), None]);
+        assert_eq!(sparse.by_id(WorkerId::new(3)).map(|w| w.id.raw()), Some(3));
     }
 
     #[test]

@@ -37,6 +37,7 @@ use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
+use crowdkit_metrics as metrics;
 use crowdkit_obs as obs;
 
 use crate::em::{
@@ -86,6 +87,8 @@ impl DawidSkene {
 
         let rec = obs::current();
         let obs_on = rec.enabled();
+        let reg = metrics::current();
+        let timed = obs_on || reg.is_some();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
         let mut lineage = crowdkit_provenance::RunLineage::begin("ds", &posteriors, k);
@@ -94,7 +97,7 @@ impl DawidSkene {
         let mut converged = false;
         while iterations < cfg.max_iters {
             iterations += 1;
-            let t_m = obs_on.then(obs::WallTimer::start);
+            let t_m = timed.then(obs::WallTimer::start);
 
             // M-step: priors, then per-worker confusion soft counts over
             // worker ranges. Each worker's accumulation walks its CSR
@@ -149,7 +152,7 @@ impl DawidSkene {
             });
 
             let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
-            let t_e = obs_on.then(obs::WallTimer::start);
+            let t_e = timed.then(obs::WallTimer::start);
 
             // E-step over the active worklist (all tasks while freezing is
             // off): per task, start from the log priors and add one
@@ -175,9 +178,9 @@ impl DawidSkene {
                 // so both paths record the same flips.
                 l.observe_iter(iterations, &posteriors);
             }
+            let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
+            obs_iter(&*rec, reg.as_deref(), "ds", iterations, delta, m_ns, e_ns);
             if obs_on {
-                let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "ds", iterations, delta, m_ns, e_ns);
                 aset.observe(&*rec, "ds", iterations, &out);
             }
             if delta < cfg.tol {

@@ -127,33 +127,37 @@ pub(crate) fn resolve_threads(requested: usize, work: usize) -> usize {
     }
 }
 
-/// Emits the per-iteration `truth.iter` telemetry event. The convergence
-/// `delta` (max posterior change) stands in for the log-likelihood
-/// trajectory: every EM loop already computes it, it tracks the same
-/// convergence signal, and recording it costs no extra kernel pass. Phase
-/// timings ride in wall-clock fields, outside the determinism boundary.
+/// Writes one EM iteration's telemetry: `iters` and `sweep_ns` into the
+/// metrics registry whenever one is in scope, and the `truth.iter` event
+/// when the recorder is enabled — each sink independently of the other.
+/// The convergence `delta` (max posterior change) stands in for the
+/// log-likelihood trajectory: every EM loop already computes it, it tracks
+/// the same convergence signal, and recording it costs no extra kernel
+/// pass. Phase timings ride in wall-clock fields, outside the determinism
+/// boundary.
 pub(crate) fn obs_iter(
     rec: &dyn obs::Recorder,
+    reg: Option<&metrics::Registry>,
     algo: &'static str,
     iter: usize,
     delta: f64,
     m_ns: u64,
     e_ns: u64,
 ) {
-    if let Some(m) = metrics::current() {
-        if let Some(am) = m.truth.algo(algo) {
-            am.iters.inc();
-            am.sweep_ns.record(m_ns + e_ns);
-        }
+    if let Some(am) = reg.and_then(|m| m.truth.algo(algo)) {
+        am.iters.inc();
+        am.sweep_ns.record(m_ns + e_ns);
     }
-    rec.record(
-        Event::new("truth.iter")
-            .str("algo", algo)
-            .u64("iter", iter as u64)
-            .f64("delta", delta)
-            .wall("m_ns", m_ns)
-            .wall("e_ns", e_ns),
-    );
+    if rec.enabled() {
+        rec.record(
+            Event::new("truth.iter")
+                .str("algo", algo)
+                .u64("iter", iter as u64)
+                .f64("delta", delta)
+                .wall("m_ns", m_ns)
+                .wall("e_ns", e_ns),
+        );
+    }
 }
 
 /// Emits the `truth.run` summary event every [`TruthInferencer`] run ends
@@ -277,6 +281,41 @@ mod tests {
             posterior_rows(&flat, 2),
             vec![vec![0.25, 0.75], vec![1.0, 0.0]]
         );
+    }
+
+    /// A metrics registry counts EM iterations on its own: with no
+    /// recorder in scope, `iters` and `sweep_ns` still see every sweep.
+    #[test]
+    fn registry_without_recorder_counts_every_iteration() {
+        use crowdkit_core::traits::TruthInferencer;
+        use std::sync::Arc;
+
+        let mut m = ResponseMatrix::new(2);
+        for t in 0..30u64 {
+            for w in 0..5u64 {
+                let label = u32::from((t + w) % 3 != 0);
+                m.push(TaskId::new(t), WorkerId::new(w), label).unwrap();
+            }
+        }
+        let algos: [(&str, Box<dyn TruthInferencer>); 3] = [
+            ("ds", Box::new(crate::DawidSkene::default())),
+            ("zc", Box::new(crate::OneCoinEm::default())),
+            ("glad", Box::new(crate::Glad::default())),
+        ];
+        assert!(!obs::enabled(), "no recorder is in scope");
+        for (tag, algo) in algos {
+            let reg = Arc::new(metrics::Registry::new());
+            let out = metrics::with_registry(reg.clone(), || algo.infer(&m)).unwrap();
+            let am = reg.truth.algo(tag).unwrap();
+            assert!(out.iterations > 1, "{tag} ran a single sweep");
+            assert_eq!(am.runs.value(), 1, "{tag} runs");
+            assert_eq!(am.iters.value(), out.iterations as u64, "{tag} iters");
+            assert_eq!(
+                am.sweep_ns.merged().count,
+                out.iterations as u64,
+                "{tag} sweeps"
+            );
+        }
     }
 
     #[test]

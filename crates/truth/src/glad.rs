@@ -46,6 +46,7 @@ use crowdkit_core::par::{parallel_active_items_mut, parallel_items_mut};
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
+use crowdkit_metrics as metrics;
 use crowdkit_obs as obs;
 
 use crate::em::{
@@ -186,6 +187,8 @@ impl Glad {
 
         let rec = obs::current();
         let obs_on = rec.enabled();
+        let reg = metrics::current();
+        let timed = obs_on || reg.is_some();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
         let mut lineage = crowdkit_provenance::RunLineage::begin("glad", &posteriors, k);
@@ -194,7 +197,7 @@ impl Glad {
         let mut converged = false;
         while iterations < cfg.max_iters {
             iterations += 1;
-            let t_m = obs_on.then(obs::WallTimer::start);
+            let t_m = timed.then(obs::WallTimer::start);
             update_priors(&posteriors, k, &mut priors);
             for (lp, &p) in log_priors.iter_mut().zip(&priors) {
                 *lp = p.max(1e-300).ln();
@@ -309,7 +312,7 @@ impl Glad {
             }
 
             let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
-            let t_e = obs_on.then(obs::WallTimer::start);
+            let t_e = timed.then(obs::WallTimer::start);
 
             // E-step over the active worklist (all tasks while freezing is
             // off), with the one-coin scalar-update trick (each
@@ -367,9 +370,9 @@ impl Glad {
                 // sparse and dense-reference paths, so lineage matches.
                 l.observe_iter(iterations, &posteriors);
             }
+            let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
+            obs_iter(&*rec, reg.as_deref(), "glad", iterations, delta, m_ns, e_ns);
             if obs_on {
-                let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "glad", iterations, delta, m_ns, e_ns);
                 aset.observe(&*rec, "glad", iterations, &out);
             }
             if delta < cfg.tol {

@@ -22,6 +22,7 @@ use crowdkit_core::par::parallel_items_mut;
 use crowdkit_core::response::ResponseMatrix;
 use crowdkit_core::traits::{InferenceResult, TruthInferencer};
 
+use crowdkit_metrics as metrics;
 use crowdkit_obs as obs;
 
 use crate::em::{
@@ -74,6 +75,8 @@ impl TruthInferencer for OneCoinEm {
 
         let rec = obs::current();
         let obs_on = rec.enabled();
+        let reg = metrics::current();
+        let timed = obs_on || reg.is_some();
         let run_start = obs::WallTimer::start();
         // Lineage baseline: the vote-fraction init, i.e. MV's decision.
         let mut lineage = crowdkit_provenance::RunLineage::begin("zc", &posteriors, k);
@@ -82,7 +85,7 @@ impl TruthInferencer for OneCoinEm {
         let mut converged = false;
         while iterations < cfg.max_iters {
             iterations += 1;
-            let t_m = obs_on.then(obs::WallTimer::start);
+            let t_m = timed.then(obs::WallTimer::start);
 
             // M-step: p_w = (smoothed) expected fraction of correct
             // answers, sharded over worker ranges; each worker sums its
@@ -120,7 +123,7 @@ impl TruthInferencer for OneCoinEm {
             }
 
             let m_ns = t_m.map_or(0, |t| t.elapsed_ns());
-            let t_e = obs_on.then(obs::WallTimer::start);
+            let t_e = timed.then(obs::WallTimer::start);
 
             // E-step over the active worklist (all tasks while freezing is
             // off). Per observation the update is a scalar: every label
@@ -150,9 +153,9 @@ impl TruthInferencer for OneCoinEm {
                 // sparse and dense-reference paths, so lineage matches.
                 l.observe_iter(iterations, &posteriors);
             }
+            let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
+            obs_iter(&*rec, reg.as_deref(), "zc", iterations, delta, m_ns, e_ns);
             if obs_on {
-                let e_ns = t_e.map_or(0, |t| t.elapsed_ns());
-                obs_iter(&*rec, "zc", iterations, delta, m_ns, e_ns);
                 aset.observe(&*rec, "zc", iterations, &out);
             }
             if delta < cfg.tol {
