@@ -31,6 +31,16 @@ for w in label adaptive query; do
   fi
   echo "perfbench $w: correct"
 done
+# The greedy assignment policies pick from a ranking they update from the
+# state's change log rather than rescanning; every recorded adaptive seed
+# (0..63, 8 variants each) must still reproduce its expected.tsv line.
+cargo run --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload adaptive --record 0..63 > PERFBENCH.txt
+if ! diff <(awk -F'\t' '$1 == "adaptive"' perfbench/expected.tsv) PERFBENCH.txt; then
+  echo "perfbench adaptive --record 0..63: differs from perfbench/expected.tsv"
+  exit 1
+fi
+echo "perfbench adaptive: all 64 recorded seeds match"
 rm -f PERFBENCH.txt
 
 cargo clippy --workspace --all-targets -- -D warnings

@@ -135,7 +135,7 @@ where
 
     Ok(AssignmentOutcome {
         matrix,
-        votes: state.votes,
+        votes: state.into_votes(),
         questions_asked: asked,
     })
 }
@@ -199,7 +199,7 @@ mod tests {
     fn budget_caps_total_questions() {
         let ts = tasks(5);
         let oracle = TruthfulOracle::new(1000);
-        let out = run_assignment(&oracle, &ts, &mut RoundRobin, 7, 10).unwrap();
+        let out = run_assignment(&oracle, &ts, &mut RoundRobin::default(), 7, 10).unwrap();
         assert_eq!(out.questions_asked, 7);
         assert_eq!(out.matrix.num_observations(), 7);
     }
@@ -208,7 +208,7 @@ mod tests {
     fn per_task_cap_is_respected() {
         let ts = tasks(2);
         let oracle = TruthfulOracle::new(1000);
-        let out = run_assignment(&oracle, &ts, &mut RoundRobin, 100, 3).unwrap();
+        let out = run_assignment(&oracle, &ts, &mut RoundRobin::default(), 100, 3).unwrap();
         // 2 tasks × cap 3 = 6 questions, then the policy returns None.
         assert_eq!(out.questions_asked, 6);
         assert!(out.votes.iter().all(|v| v.iter().sum::<u32>() == 3));
@@ -218,7 +218,7 @@ mod tests {
     fn oracle_exhaustion_ends_gracefully() {
         let ts = tasks(5);
         let oracle = TruthfulOracle::new(3);
-        let out = run_assignment(&oracle, &ts, &mut EntropyGreedy, 100, 10).unwrap();
+        let out = run_assignment(&oracle, &ts, &mut EntropyGreedy::default(), 100, 10).unwrap();
         assert_eq!(out.questions_asked, 3);
     }
 
@@ -226,7 +226,7 @@ mod tests {
     fn votes_align_with_task_slice_order() {
         let ts = tasks(3);
         let oracle = TruthfulOracle::new(1000);
-        let out = run_assignment(&oracle, &ts, &mut RoundRobin, 6, 10).unwrap();
+        let out = run_assignment(&oracle, &ts, &mut RoundRobin::default(), 6, 10).unwrap();
         for v in &out.votes {
             assert_eq!(v[1], 2, "each task got two truthful '1' votes");
         }

@@ -25,8 +25,8 @@ fn state_from(votes: Vec<(u32, u32)>, cap: u32) -> AssignState {
 fn policies(seed: u64) -> Vec<Box<dyn AssignmentPolicy>> {
     vec![
         Box::new(RandomAssign::new(seed)),
-        Box::new(RoundRobin),
-        Box::new(EntropyGreedy),
+        Box::new(RoundRobin::default()),
+        Box::new(EntropyGreedy::default()),
         Box::new(ExpectedAccuracyGain::default()),
     ]
 }
@@ -48,7 +48,7 @@ proptest! {
             match p.next_task(&s) {
                 Some(t) => {
                     prop_assert!(any_open, "{} picked from a fully-capped state", p.name());
-                    prop_assert!(t < s.votes.len());
+                    prop_assert!(t < s.num_tasks());
                     prop_assert!(
                         s.count(t) < cap,
                         "{} picked capped task {t}", p.name()
@@ -66,7 +66,7 @@ proptest! {
         votes in prop::collection::vec((0u32..5, 0u32..5), 1..10),
     ) {
         let s = state_from(votes, 20);
-        let mut p = EntropyGreedy;
+        let mut p = EntropyGreedy::default();
         if let Some(t) = p.next_task(&s) {
             let chosen = entropy(&s.posterior(t));
             for other in s.open_tasks() {
@@ -83,7 +83,7 @@ proptest! {
     #[test]
     fn round_robin_balances_counts(n_tasks in 1usize..10, steps in 0usize..40) {
         let mut s = AssignState::new(n_tasks, 2, u32::MAX);
-        let mut p = RoundRobin;
+        let mut p = RoundRobin::default();
         for _ in 0..steps {
             let t = p.next_task(&s).expect("uncapped tasks stay open");
             s.record(t, 0);

@@ -24,8 +24,8 @@ fn accuracy_under_budget(policy_name: &str, budget: usize, seed: u64) -> f64 {
     let data = LabelingDataset::generate(N_TASKS, 2, 0.5, (0.2, 0.8), seed);
     let crowd = SimulatedCrowd::new(mixes::mixed(60, seed), seed);
     let mut random;
-    let mut rr = RoundRobin;
-    let mut entropy = EntropyGreedy;
+    let mut rr = RoundRobin::default();
+    let mut entropy = EntropyGreedy::default();
     let mut gain = ExpectedAccuracyGain::default();
     let policy: &mut dyn AssignmentPolicy = match policy_name {
         "random" => {

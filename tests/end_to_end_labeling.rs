@@ -95,7 +95,7 @@ fn quality_aware_assignment_beats_random_under_tight_budget() {
         .map(|s| acc(&mut RandomAssign::new(s), s))
         .sum::<f64>()
         / runs as f64;
-    let entropy: f64 = (0..runs).map(|s| acc(&mut EntropyGreedy, s)).sum::<f64>() / runs as f64;
+    let entropy: f64 = (0..runs).map(|s| acc(&mut EntropyGreedy::default(), s)).sum::<f64>() / runs as f64;
     let gain: f64 = (0..runs)
         .map(|s| acc(&mut ExpectedAccuracyGain::default(), s))
         .sum::<f64>()
